@@ -51,6 +51,7 @@ func connectedExpander(n int, seed int64) *graph.Graph {
 type libRun struct {
 	out    *strongdecomp.Outcome
 	ms     float64
+	cpuMS  float64
 	radius int
 }
 
@@ -59,13 +60,14 @@ type libRun struct {
 // match.
 func runOnce(ctx context.Context, e *strongdecomp.Engine, g *graph.Graph, algo string, ck *checker, want string) (libRun, error) {
 	p := strongdecomp.Params{Algorithm: algo, Kind: strongdecomp.KindDecompose, Meter: true}
-	t0 := time.Now()
+	c0, t0 := processCPU(), time.Now()
 	out, err := e.Run(ctx, g, p)
 	ms := float64(time.Since(t0)) / float64(time.Millisecond)
+	cpuMS := float64(processCPU()-c0) / float64(time.Millisecond)
 	if err != nil {
 		return libRun{}, err
 	}
-	r := libRun{out: out, ms: ms}
+	r := libRun{out: out, ms: ms, cpuMS: cpuMS}
 	if r.radius, err = ck.check(g, out.Decomposition); err != nil {
 		return r, err
 	}
@@ -104,10 +106,17 @@ func setupLibrary(cfg config, ck *checker) (*libSetup, error) {
 
 // setupRepeats is how many times a run repeats its set-up; setup_s is
 // the median.
-const setupRepeats = 3
+const setupRepeats = 5
 
+// runLibrary runs a library workload on one processor. Each input is a
+// single component, which the engine decomposes on one goroutine, so a
+// second processor would only run the garbage collector beside it and
+// spin idle; with one, an operation's CPU time is its own work and stays
+// the same when other processes contend for the host.
 func runLibrary(cfg config) (*outcome, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	o := newOutcome()
+	o.notes["gomaxprocs"] = runtime.GOMAXPROCS(0)
 	ck := &checker{}
 	var setups []float64
 	var s *libSetup
@@ -140,7 +149,7 @@ func runLibrary(cfg config) (*outcome, error) {
 // measureLibrary is the untraced run: a closed loop with one caller for
 // the whole measured time. Every output is checked against the reference.
 func measureLibrary(cfg config, s *libSetup, o *outcome) {
-	var ms []float64
+	var ms, cpu []float64
 	ck := &checker{}
 	end := time.Now().Add(time.Duration(cfg.seconds * float64(time.Second)))
 	for first := true; first || time.Now().Before(end); first = false {
@@ -151,18 +160,26 @@ func measureLibrary(cfg config, s *libSetup, o *outcome) {
 			continue
 		}
 		ms = append(ms, r.ms)
+		cpu = append(cpu, r.cpuMS)
 	}
-	tail := tailPercentile(len(ms))
-	o.notes["decompose_ms.tail"] = map[string]int{"percentile": tail, "samples": len(ms)}
+	setWallTimes(o, ms)
+	o.values["cpu_ms_per_op"] = median(cpu)
 	d := s.ref.out.Decomposition
-	o.values["decompose_ms.p50"] = median(ms)
-	o.values["decompose_ms.tail"] = quantile(ms, float64(tail)/100)
-	o.values["latency_low.p50_ms"] = median(ms)
 	o.values["colors"] = float64(d.Colors)
 	o.values["cluster_radius_max"] = float64(s.ref.radius)
 	o.values["rounds"] = float64(s.ref.out.Rounds)
-	fmt.Fprintf(os.Stderr, "perfbench: %s n=%d: decompose p50 %.1f ms, p%d %.1f ms over %d ops\n",
-		cfg.workload, s.g.N(), median(ms), tail, o.values["decompose_ms.tail"], len(ms))
+	fmt.Fprintf(os.Stderr, "perfbench: %s n=%d: cpu p50 %.1f ms; decompose p50 %.1f ms, p%d %.1f ms over %d ops\n",
+		cfg.workload, s.g.N(), o.values["cpu_ms_per_op"], median(ms), tailPercentile(len(ms)), o.values["decompose_ms.tail"], len(ms))
+}
+
+// setWallTimes sets the per-layer wall-clock figures of the untraced
+// operations: their median and tail, and the one-caller latency.
+func setWallTimes(o *outcome, ms []float64) {
+	tail := tailPercentile(len(ms))
+	o.notes["decompose_ms.tail"] = map[string]int{"percentile": tail, "samples": len(ms)}
+	o.values["decompose_ms.p50"] = median(ms)
+	o.values["decompose_ms.tail"] = quantile(ms, float64(tail)/100)
+	o.values["latency_low.p50_ms"] = median(ms)
 }
 
 // traceLibrary is the traced run. It alternates an untraced
@@ -178,6 +195,7 @@ func traceLibrary(cfg config, s *libSetup, ck *checker, o *outcome) {
 		rgCalls, rgNodes, rgFrac, rgAlloc []float64
 		thmCalls, thmAlloc                []float64
 		rounds                            = map[string][]float64{}
+		cpu                               []float64
 	)
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
@@ -193,6 +211,7 @@ func traceLibrary(cfg config, s *libSetup, ck *checker, o *outcome) {
 			continue
 		}
 		plain = append(plain, r.ms)
+		cpu = append(cpu, r.cpuMS)
 
 		layerClock = layerTotals{}
 		ctx := obs.WithRequest(context.Background(), obs.NewCollector(nil), obs.NewTrace())
@@ -238,6 +257,8 @@ func traceLibrary(cfg config, s *libSetup, ck *checker, o *outcome) {
 		return
 	}
 	base, traced50 := median(plain), median(full)
+	setWallTimes(o, plain)
+	o.values["cpu_ms_per_op"] = median(cpu)
 	v := o.values
 	v["rg.carve_ms"] = median(rgMS)
 	v["rg.carve_share_pct"] = 100 * median(rgMS) / traced50

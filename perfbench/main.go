@@ -22,6 +22,8 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"syscall"
+	"time"
 
 	"strongdecomp"
 )
@@ -65,13 +67,14 @@ var units = map[string]string{
 	// end to end
 	"setup_s":            "s",
 	"peak_rss_mb":        "MB",
-	"decompose_ms.p50":   "ms",
-	"decompose_ms.tail":  "ms",
+	"cpu_ms_per_op":      "ms",
 	"colors":             "count",
 	"cluster_radius_max": "hops",
 	"rounds":             "count",
-	"latency_low.p50_ms": "ms",
 	// per layer
+	"decompose_ms.p50":          "ms",
+	"decompose_ms.tail":         "ms",
+	"latency_low.p50_ms":        "ms",
 	"latency_high.p50_ms":       "ms",
 	"max_rps":                   "1/s",
 	"latency_low.p99_ms":        "ms",
@@ -121,9 +124,8 @@ var units = map[string]string{
 // endToEnd lists the metrics a --trace 0 run reports; every other name
 // in units is per-layer.
 var endToEnd = []string{
-	"setup_s", "peak_rss_mb", "decompose_ms.p50", "decompose_ms.tail",
+	"setup_s", "peak_rss_mb", "cpu_ms_per_op",
 	"colors", "cluster_radius_max", "rounds",
-	"latency_low.p50_ms",
 }
 
 // metricNames returns the names a run at the given trace level reports.
@@ -231,6 +233,43 @@ func peakRSSMB(pid int) (float64, error) {
 		}
 	}
 	return 0, errors.New("no VmHWM line in " + path)
+}
+
+// processCPU is the CPU time (user + system) all of this process's
+// threads have used. The kernel leaves out time the hypervisor gave the
+// virtual CPU to another guest, so on a shared host it moves with the
+// program's own work and not with its neighbours' load.
+func processCPU() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		panic(fmt.Sprintf("getrusage: %v", err)) // fails only for a bad pointer
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+// childCPU is the CPU time (user + system) another process has used, from
+// /proc/<pid>/stat, in clock ticks of 10 ms.
+func childCPU(pid int) (time.Duration, error) {
+	data, err := os.ReadFile("/proc/" + strconv.Itoa(pid) + "/stat")
+	if err != nil {
+		return 0, err
+	}
+	// The command name (field 2) may hold spaces; fields 14 and 15 follow
+	// its closing parenthesis as the 12th and 13th.
+	_, rest, ok := strings.Cut(string(data), ") ")
+	f := strings.Fields(rest)
+	if !ok || len(f) < 13 {
+		return 0, fmt.Errorf("parse /proc/%d/stat", pid)
+	}
+	var ticks int64
+	for _, s := range f[11:13] {
+		t, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			return 0, fmt.Errorf("parse /proc/%d/stat: %w", pid, err)
+		}
+		ticks += t
+	}
+	return time.Duration(ticks) * 10 * time.Millisecond, nil
 }
 
 func main() {

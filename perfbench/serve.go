@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -48,8 +49,8 @@ const (
 	// from the disk tier.
 	seedSpace = 4096
 	zipfS     = 1.2
-	// appPercent of requests go to /v2/apps/{mis,coloring}, the rest to
-	// /v1/decompose, chosen by a hash of the request.
+	// appPercent of requests go to /v2/apps/{mis,coloring}, half each,
+	// the rest to /v1/decompose.
 	appPercent = 20
 	// rateLow and rateHigh are the two fixed open-loop rates (requests
 	// per second) at which latency_low.* and latency_high.* are measured.
@@ -163,6 +164,10 @@ func startServer(bin string, conns int) (*server, error) {
 	addr := "127.0.0.1:" + strconv.Itoa(port)
 	cmd := exec.Command(bin, "-addr", addr, "-data-dir", filepath.Join(dir, "data"))
 	cmd.Stdout, cmd.Stderr = logf, logf
+	// The server gets one processor and the load generator the other
+	// (runServe), so on a 2-CPU host neither takes time from the other
+	// and the server's CPU time per request holds from run to run.
+	cmd.Env = append(os.Environ(), "GOMAXPROCS=1")
 	// The child must not outlive the benchmark, even if it is killed.
 	cmd.SysProcAttr = &syscall.SysProcAttr{Pdeathsig: syscall.SIGKILL}
 	if err := cmd.Start(); err != nil {
@@ -267,25 +272,32 @@ type key struct {
 
 func (r request) key() key { return key{r.ep, r.graph, r.seed} }
 
-// mix draws the request stream: Zipf-popular (graph, seed) keys, the
-// endpoint chosen by a hash of the workload seed and request id.
+// mix draws the request stream: Zipf-popular (graph, seed) keys and the
+// endpoint. Both come from Kronecker (golden-ratio and √2) sequences
+// started at offsets drawn from the workload seed rather than from
+// independent random draws: every stretch of the stream then holds each
+// key and each endpoint in almost exactly its share, so the rate at which
+// new keys (misses) arrive, and with it the work per request, does not
+// vary by seed, while which key comes when does.
 type mix struct {
-	zipf   *rand.Zipf
+	cdf    []float64 // cdf[k] = P(rank <= k), Zipf(zipfS) over the keys
+	u, v   float64   // positions in the key and endpoint sequences
 	graphs int
-	seed   int64
 	next   int
 }
 
 func newMix(seed int64, graphs int) *mix {
 	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
-	return &mix{zipf: rand.NewZipf(rng, zipfS, 1, uint64(graphs*seedSpace-1)), graphs: graphs, seed: seed}
-}
-
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	cdf := make([]float64, graphs*seedSpace)
+	sum := 0.0
+	for k := range cdf {
+		sum += math.Pow(float64(k+1), -zipfS)
+		cdf[k] = sum
+	}
+	for k := range cdf {
+		cdf[k] /= sum
+	}
+	return &mix{cdf: cdf, u: rng.Float64(), v: rng.Float64(), graphs: graphs}
 }
 
 // phase schedules rate·dur requests, at least one, at exact 1/rate
@@ -294,10 +306,12 @@ func (m *mix) phase(rate float64, dur time.Duration) []request {
 	count := max(1, int(rate*dur.Seconds()))
 	out := make([]request, count)
 	for i := range out {
-		k := int(m.zipf.Uint64())
+		_, m.u = math.Modf(m.u + (math.Sqrt(5)-1)/2)
+		_, m.v = math.Modf(m.v + math.Sqrt2 - 1)
+		k := min(sort.SearchFloat64s(m.cdf, m.u), len(m.cdf)-1)
 		ep := epDecompose
-		if h := splitmix(uint64(m.seed)<<32 ^ uint64(m.next)); h%100 < appPercent {
-			ep = epMIS + int(h>>32)%2
+		if m.v < appPercent/100.0 {
+			ep = epMIS + int(m.v*200/appPercent)%2
 		}
 		out[i] = request{
 			id: m.next, due: time.Duration(float64(i) / rate * float64(time.Second)),
@@ -482,22 +496,29 @@ func serveSetup(cfg config, conns int) (*server, *serveInput, float64, error) {
 	return srv, in, upMS, nil
 }
 
+// serveSetupRepeats is how many servers a run starts and loads before
+// measuring on the last; setup_s is the median. A serve set-up takes tens
+// of milliseconds, so it takes more repeats than a library one to settle.
+const serveSetupRepeats = 15
+
 func runServe(cfg config) (*outcome, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	o := newOutcome()
+	o.notes["gomaxprocs"] = map[string]int{"loadgen": 1, "server": 1}
 	conns := runtime.NumCPU()
 	var (
+		err    error
 		setups []float64
 		srv    *server
 		in     *serveInput
 		upMS   float64
 	)
-	for i := 0; i < setupRepeats; i++ {
+	for i := 0; i < serveSetupRepeats; i++ {
 		if srv != nil {
 			srv.stop()
 			srv.removeDir()
 		}
 		t0 := time.Now()
-		var err error
 		if srv, in, upMS, err = serveSetup(cfg, conns); err != nil {
 			return nil, fmt.Errorf("serve set-up: %w", err)
 		}
@@ -525,6 +546,14 @@ func runServe(cfg config) (*outcome, error) {
 		scale = 0.25
 	}
 	warm, _ := lg.runPhase(m.phase(rateHigh*scale, part(1.0/8)))
+	// cpu_ms_per_op is the server's CPU time over the fixed-rate blocks
+	// divided by their requests; the warm-up and the ladder, whose length
+	// depends on how far it climbs, are left out.
+	cpu0, err := childCPU(srv.cmd.Process.Pid)
+	if err != nil {
+		srv.stop()
+		return nil, err
+	}
 	var low, high []sample
 	for b := 0; b < 8; b++ {
 		if b%2 == 0 {
@@ -535,6 +564,13 @@ func runServe(cfg config) (*outcome, error) {
 			high = append(high, ss...)
 		}
 	}
+	cpu1, err := childCPU(srv.cmd.Process.Pid)
+	if err != nil {
+		srv.stop()
+		return nil, err
+	}
+	o.values["cpu_ms_per_op"] = float64(cpu1-cpu0) / float64(time.Millisecond) / float64(len(low)+len(high))
+
 	maxRPS, steps, ladderSamples := lg.climb(m, scale, part(1.0/36))
 	all := slices.Concat(warm, low, high, ladderSamples)
 	// The checks below mark failed requests in all; low and high must see
@@ -592,8 +628,8 @@ func runServe(cfg config) (*outcome, error) {
 	if cfg.trace {
 		serveLayers(srv, all, before, after, o)
 	}
-	fmt.Fprintf(os.Stderr, "perfbench: serve: low %g rps p50 %.2f p99 %.2f ms; high %g rps p50 %.2f p99 %.2f ms; max_rps %g; compute p50 %.2f ms over %d\n",
-		rateLow*scale, v["latency_low.p50_ms"], v["latency_low.p99_ms"], rateHigh*scale, v["latency_high.p50_ms"], v["latency_high.p99_ms"], maxRPS, v["decompose_ms.p50"], len(computeMS))
+	fmt.Fprintf(os.Stderr, "perfbench: serve: server cpu %.3f ms/request; low %g rps p50 %.2f p99 %.2f ms; high %g rps p50 %.2f p99 %.2f ms; max_rps %g; compute p50 %.2f ms over %d\n",
+		v["cpu_ms_per_op"], rateLow*scale, v["latency_low.p50_ms"], v["latency_low.p99_ms"], rateHigh*scale, v["latency_high.p50_ms"], v["latency_high.p99_ms"], maxRPS, v["decompose_ms.p50"], len(computeMS))
 	return o, nil
 }
 
