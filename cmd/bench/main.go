@@ -3,7 +3,8 @@
 // performance PR is judged against. Two suites run: the PerfSuite from
 // PR 3 (CSR build, parse, traverse, subgraph, engine decompose/carve) and
 // the PR 5 load-path suite (text parse vs binary CSR snapshot streaming
-// read / mmap / trusted mmap on a large workload).
+// read / mmap / trusted mmap on a large workload, plus the out-of-core
+// BuildCSRStream snapshot build of the same workload).
 //
 // The emitted document carries the recorded pre-CSR-refactor baseline
 // (fixed numbers, measured once on the [][]int adjacency representation
@@ -68,44 +69,12 @@ type document struct {
 	// snapshot (streaming read, mmap, trusted mmap) on the large workload.
 	LoadPath []bench.PerfResult `json:"loadPath"`
 
-	// Parallel is the PR 10 parallel-traversal suite: frontier-parallel
-	// BFS/components across worker counts on one giant connected
-	// component (built out-of-core via BuildCSRStream and mmap-loaded),
-	// plus the engine's single-component decompose path with -par-bfs on.
-	Parallel []bench.PerfResult `json:"parallel,omitempty"`
-
 	// Acceptance summarizes the headline comparison: allocations per op on
 	// the engine multi-component decompose path, before vs after.
 	Acceptance acceptance `json:"acceptance"`
 	// LoadPathAcceptance summarizes the PR 5 criterion: the mmap snapshot
 	// load must beat the fastest text parse on the large workload.
 	LoadPathAcceptance loadPathAcceptance `json:"loadPathAcceptance"`
-	// ParallelAcceptance summarizes the PR 10 criterion: decompose
-	// speedup at 8 workers on a single connected component.
-	ParallelAcceptance parallelAcceptance `json:"parallelAcceptance"`
-}
-
-// parallelAcceptance reports the measured speedup curve of this run and
-// the design-target curve the acceptance criterion is judged against on
-// machines with too few hardware threads to realize the fan-out (the
-// measured curve is authoritative whenever CPUs covers the worker
-// count — CI asserts the measured 4-worker BFS speedup there).
-type parallelAcceptance struct {
-	Workload string `json:"workload"`
-	// Measured speedups of this run: ns/op at 1 worker divided by ns/op
-	// at w workers, keyed by "w2"-style labels.
-	BFSSpeedup       map[string]float64 `json:"bfsSpeedupMeasured"`
-	DecomposeSpeedup map[string]float64 `json:"decomposeSpeedupMeasured"`
-	// DesignTarget is the expected decompose scaling of the
-	// frontier-parallel path when every worker has a hardware thread
-	// (sublinear: the sort/merge/resolve residue is sequential). Runs
-	// where CPUs < workers cannot realize it — see DesignTargetNote.
-	DesignTarget     map[string]float64 `json:"decomposeSpeedupDesignTarget"`
-	DesignTargetNote string             `json:"designTargetNote"`
-	// MeetsThreeXAt8Workers holds for the measured curve when this run
-	// had >= 8 CPUs, and for the design-target curve otherwise.
-	MeasuredIsAuthoritative bool `json:"measuredIsAuthoritative"`
-	MeetsThreeXAt8Workers   bool `json:"meetsThreeXAt8Workers"`
 }
 
 type acceptance struct {
@@ -142,7 +111,6 @@ func run() error {
 		algos  = flag.String("algos", "chang-ghaffari", "comma-separated registry names for the engine cases; \"all\" measures every registered construction")
 		asText = flag.Bool("text", false, "print an aligned text table instead of JSON")
 		pr     = flag.String("pr", "pr10", "PR tag recorded in the artifact")
-		csr    = flag.String("csr", "", "mmap-load this .csr snapshot as the parallel-traversal workload instead of generating one (skips the stream-build row)")
 	)
 	flag.Parse()
 
@@ -167,22 +135,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	newParRunner := func(workers int) bench.PerfRunner {
-		return strongdecomp.NewEngine(
-			strongdecomp.WithWorkers(workers),
-			strongdecomp.WithParallelBFS(true),
-			strongdecomp.WithParallelBFSThreshold(0),
-		)
-	}
-	parResults, err := bench.ParallelSuite(newParRunner, *short, *csr)
-	if err != nil {
-		return err
-	}
 
 	if *asText {
 		fmt.Print(bench.FormatPerf(results))
 		fmt.Print(bench.FormatPerf(loadResults))
-		fmt.Print(bench.FormatPerf(parResults))
 		return nil
 	}
 
@@ -191,10 +147,6 @@ func run() error {
 		return err
 	}
 	loadAcc, err := buildLoadPathAcceptance(loadResults)
-	if err != nil {
-		return err
-	}
-	parAcc, err := buildParallelAcceptance(parResults, runtime.NumCPU())
 	if err != nil {
 		return err
 	}
@@ -210,10 +162,8 @@ func run() error {
 		Baseline:           preRefactorBaseline,
 		Current:            results,
 		LoadPath:           loadResults,
-		Parallel:           parResults,
 		Acceptance:         acc,
 		LoadPathAcceptance: loadAcc,
-		ParallelAcceptance: parAcc,
 	}
 	data, err := json.MarshalIndent(doc, "", " ")
 	if err != nil {
@@ -231,55 +181,6 @@ func run() error {
 		*out, doc.Acceptance.BaselineAllocs, doc.Acceptance.CurrentAllocs, doc.Acceptance.AllocsRatio,
 		doc.LoadPathAcceptance.FastestParse, doc.LoadPathAcceptance.SpeedupRatio)
 	return nil
-}
-
-// parallelDesignTarget is the expected single-component decompose
-// scaling of the frontier-parallel path with one hardware thread per
-// worker: near-linear BFS scan scaling damped by the sequential
-// sort/merge/resolve residue (Amdahl). It is the acceptance yardstick on
-// machines whose CPU count cannot realize the fan-out; a run with >= 8
-// CPUs judges the measured curve instead.
-var parallelDesignTarget = map[string]float64{"w2": 1.9, "w4": 3.4, "w8": 5.8}
-
-// buildParallelAcceptance extracts the PR 10 headline: decompose (and
-// BFS) speedup by worker count on one connected component.
-func buildParallelAcceptance(results []bench.PerfResult, cpus int) (parallelAcceptance, error) {
-	acc := parallelAcceptance{
-		BFSSpeedup:       map[string]float64{},
-		DecomposeSpeedup: map[string]float64{},
-		DesignTarget:     parallelDesignTarget,
-		DesignTargetNote: "expected scaling with one hardware thread per worker; on this run's CPU count the measured curve saturates at ~min(workers, cpus)x. measuredIsAuthoritative reports which curve the 3x-at-8-workers criterion was judged against.",
-	}
-	ns := map[string]int64{}
-	for _, r := range results {
-		ns[r.Name] = r.NsPerOp
-		if r.Name == "decompose-giant/w1" {
-			acc.Workload = r.Workload
-		}
-	}
-	bfs1, dec1 := ns["par-bfs/w1"], ns["decompose-giant/w1"]
-	if bfs1 <= 0 || dec1 <= 0 {
-		return acc, fmt.Errorf("parallel suite missing 1-worker baseline rows")
-	}
-	for _, w := range bench.ParallelWorkers {
-		if w == 1 {
-			continue
-		}
-		key := fmt.Sprintf("w%d", w)
-		if n := ns[fmt.Sprintf("par-bfs/w%d", w)]; n > 0 {
-			acc.BFSSpeedup[key] = float64(bfs1) / float64(n)
-		}
-		if n := ns[fmt.Sprintf("decompose-giant/w%d", w)]; n > 0 {
-			acc.DecomposeSpeedup[key] = float64(dec1) / float64(n)
-		}
-	}
-	acc.MeasuredIsAuthoritative = cpus >= 8
-	if acc.MeasuredIsAuthoritative {
-		acc.MeetsThreeXAt8Workers = acc.DecomposeSpeedup["w8"] >= 3
-	} else {
-		acc.MeetsThreeXAt8Workers = acc.DesignTarget["w8"] >= 3
-	}
-	return acc, nil
 }
 
 // buildLoadPathAcceptance extracts the PR 5 headline: verified mmap open

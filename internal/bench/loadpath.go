@@ -14,9 +14,13 @@ package bench
 //	csr-mmap-trusted  mmap + checksum only (graphio.LoadCSRTrusted) — the
 //	                  serving layer's disk-tier path for its own spill files
 //
-// Fairness notes: every case starts from a file on disk (same page-cache
-// warmth), and every case touches N and M plus one adjacency row, so a
-// loader cannot win by deferring all work.
+// The suite also measures the write side of the out-of-core pipeline on
+// the same workload: loadpath-stream-build-csr feeds the edge stream
+// through graphio.BuildCSRStream (sorted runs -> merge -> snapshot).
+//
+// Fairness notes: every load case starts from a file on disk (same
+// page-cache warmth), and every load case touches N and M plus one
+// adjacency row, so a loader cannot win by deferring all work.
 
 import (
 	"bufio"
@@ -92,6 +96,14 @@ func LoadPathSuite(short bool) ([]PerfResult, error) {
 		loadCase("loadpath-csr-read", paths[graphio.FormatCSR], readCSRFromFile),
 		loadCase("loadpath-csr-mmap", paths[graphio.FormatCSR], graphio.LoadCSR),
 		loadCase("loadpath-csr-mmap-trusted", paths[graphio.FormatCSR], graphio.LoadCSRTrusted),
+		{"loadpath-stream-build-csr", w.N(), func(iters int) error {
+			for i := 0; i < iters; i++ {
+				if err := streamOut(filepath.Join(dir, "w-stream.csr"), w); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
 	}
 
 	out := make([]PerfResult, 0, len(cases))
@@ -104,6 +116,20 @@ func LoadPathSuite(short bool) ([]PerfResult, error) {
 		out = append(out, res)
 	}
 	return out, nil
+}
+
+// streamOut feeds g's edges (u < v once each) through BuildCSRStream.
+func streamOut(path string, g *graph.Graph) error {
+	return graphio.BuildCSRStream(path, g.N(), func(emit func(u, v int)) error {
+		for u := 0; u < g.N(); u++ {
+			for _, v := range g.Neighbors(u) {
+				if u < v {
+					emit(u, v)
+				}
+			}
+		}
+		return nil
+	})
 }
 
 // readCSRFromFile is the snapshot streaming-decode path pinned to a file

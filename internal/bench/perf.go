@@ -45,10 +45,6 @@ type PerfResult struct {
 	AllocsPerOp int64   `json:"allocsPerOp"`
 	BytesPerOp  int64   `json:"bytesPerOp"`
 	NodesPerSec float64 `json:"nodesPerSec"`
-	// PeakRSSKB is the process's resident high-water mark (ru_maxrss) after
-	// this case ran. It is monotone over the suite: attribute growth, not
-	// absolute values, to a case.
-	PeakRSSKB int64 `json:"peakRSSKB"`
 }
 
 // CSRWorkloadGraph is the shared multi-component measurement workload:
@@ -239,7 +235,6 @@ func runPerfCase(c perfCase, short bool) (PerfResult, error) {
 		res.AllocsPerOp = r.AllocsPerOp()
 		res.BytesPerOp = r.AllocedBytesPerOp()
 	}
-	res.PeakRSSKB = peakRSSKB()
 	if res.NsPerOp > 0 {
 		res.NodesPerSec = float64(c.n) / (float64(res.NsPerOp) / 1e9)
 	}
@@ -251,8 +246,8 @@ func runPerfCase(c perfCase, short bool) (PerfResult, error) {
 func FormatPerf(results []PerfResult) string {
 	var sb bytes.Buffer
 	for _, r := range results {
-		fmt.Fprintf(&sb, "%-44s %12d ns/op %10d B/op %8d allocs/op %14.0f nodes/s rss=%dKB\n",
-			r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp, r.NodesPerSec, r.PeakRSSKB)
+		fmt.Fprintf(&sb, "%-44s %12d ns/op %10d B/op %8d allocs/op %14.0f nodes/s\n",
+			r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp, r.NodesPerSec)
 	}
 	return sb.String()
 }

@@ -6,10 +6,11 @@
 //   - Theorem 2.2: its instantiation with the deterministic weak carver of
 //     internal/rg (CarveRG);
 //   - Theorem 2.3: the strong-diameter network decomposition obtained by
-//     log n repetitions of ball carving with ε = 1/2 (Decompose);
+//     log n repetitions of ball carving with ε = 1/2 (DecomposeContext);
 //   - Lemma 3.1: the balanced-sparse-cut-or-large-small-diameter-component
 //     subroutine (CutOrComponent);
-//   - Theorem 3.2: the diameter-improvement transformation (ImproveDiameter);
+//   - Theorem 3.2: the diameter-improvement transformation
+//     (ImproveDiameterContext);
 //   - Theorems 3.3/3.4: their instantiations (CarveImproved,
 //     DecomposeImproved) achieving strong diameter O(log² n / ε).
 //
@@ -36,23 +37,11 @@ import (
 // clusters, each with a bounded-depth Steiner tree in the host graph.
 type WeakCarver func(g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (*cluster.Carving, error)
 
-// StrongCarver is the contract of algorithm B: it removes at most an eps
-// fraction of nodes so that every remaining connected component (cluster)
-// has bounded strong diameter.
-type StrongCarver func(g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (*cluster.Carving, error)
-
-// CtxStrongCarver is the context-aware StrongCarver contract used by the
-// registry-facing entry points; cancellation is observed between carving
-// iterations.
+// CtxStrongCarver is the contract of algorithm B: it removes at most an
+// eps fraction of nodes so that every remaining connected component
+// (cluster) has bounded strong diameter. Cancellation is observed between
+// carving iterations.
 type CtxStrongCarver func(ctx context.Context, g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (*cluster.Carving, error)
-
-// withCtx lifts a legacy StrongCarver into the context-aware shape; the
-// carver itself runs to completion, cancellation applies between calls.
-func withCtx(carver StrongCarver) CtxStrongCarver {
-	return func(_ context.Context, g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (*cluster.Carving, error) {
-		return carver(g, nodes, eps, m)
-	}
-}
 
 // collector accumulates emitted clusters over the iterative process.
 type collector struct {
@@ -124,25 +113,12 @@ func StrongCarveContext(ctx context.Context, g *graph.Graph, nodes []int, eps fl
 		alive[v] = true
 	}
 
-	// Intra-component parallelism, when the context carries a config:
-	// the component splits and the ball-growing BFS are the traversal
-	// hot spots of a single giant component, and the parallel variants
-	// are order-identical to the sequential ones, so enabling them never
-	// changes the carving.
-	pcfg, hasPcfg := graph.ParallelConfigFrom(ctx)
-	components := func(mask []bool) [][]int {
-		if hasPcfg && pcfg.Enabled(g.N()) {
-			return graph.ParallelComponents(g, mask, pcfg.Workers)
-		}
-		return graph.Components(g, mask)
-	}
-
 	type task struct {
 		comp []int
 		iter int
 	}
 	var queue []task
-	for _, comp := range components(maskOf(g.N(), nodes)) {
+	for _, comp := range graph.Components(g, maskOf(g.N(), nodes)) {
 		queue = append(queue, task{comp: comp, iter: 1})
 	}
 
@@ -205,7 +181,7 @@ func StrongCarveContext(ctx context.Context, g *graph.Graph, nodes []int, eps fl
 					alive[v] = false
 				}
 			}
-			for _, comp := range components(sMask) {
+			for _, comp := range graph.Components(g, sMask) {
 				queue = append(queue, task{comp: comp, iter: t.iter + 1})
 			}
 			continue
@@ -215,12 +191,7 @@ func StrongCarveContext(ctx context.Context, g *graph.Graph, nodes []int, eps fl
 		// G[S]; A's removals are NOT committed (the ball may swallow them).
 		root := weakCarving.Centers[giant]
 		depthR := memberTreeDepth(weakCarving.Trees[giant], members[giant])
-		var sizes []int
-		if hasPcfg && pcfg.Enabled(len(s)) {
-			sizes = graph.ParallelNeighborhoodSizes(g, sMask, []int{root}, dist, pcfg.Workers)
-		} else {
-			sizes = graph.NeighborhoodSizes(g, sMask, []int{root}, dist)
-		}
+		sizes := graph.NeighborhoodSizes(g, sMask, []int{root}, dist)
 		maxLayer := len(sizes) - 1
 		rStart := depthR
 		if rStart > maxLayer {
@@ -253,7 +224,7 @@ func StrongCarveContext(ctx context.Context, g *graph.Graph, nodes []int, eps fl
 			sMask[v] = false
 			alive[v] = false
 		}
-		for _, comp := range components(sMask) {
+		for _, comp := range graph.Components(g, sMask) {
 			queue = append(queue, task{comp: comp, iter: t.iter + 1})
 		}
 	}
@@ -266,30 +237,17 @@ func CarveRG(g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (*cluste
 	return CarveRGContext(context.Background(), g, nodes, eps, m)
 }
 
-// CarveRGContext is CarveRG with cancellation support. When the context
-// carries a graph.ParallelConfig, the weak carver's ball-carving rounds
-// additionally use the frontier-parallel scans of rg.CarveParallel —
-// output-identical to rg.Carve, so determinism is preserved.
+// CarveRGContext is CarveRG with cancellation support.
 func CarveRGContext(ctx context.Context, g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (*cluster.Carving, error) {
-	if cfg, ok := graph.ParallelConfigFrom(ctx); ok {
-		weak := func(g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (*cluster.Carving, error) {
-			return rg.CarveParallel(g, nodes, eps, m, cfg)
-		}
-		return StrongCarveContext(ctx, g, nodes, eps, weak, m)
-	}
 	return StrongCarveContext(ctx, g, nodes, eps, rg.Carve, m)
 }
 
-// Decompose is the standard reduction from network decomposition to ball
-// carving used by Theorems 2.3 and 3.4: repeat the carver with eps = 1/2 on
-// the remaining nodes; clusters found in iteration i receive color i. A
-// deterministic carver yields at most ceil(log₂ n) + 1 colors.
-func Decompose(g *graph.Graph, carver StrongCarver, m *rounds.Meter) (*cluster.Decomposition, error) {
-	return DecomposeContext(context.Background(), g, withCtx(carver), m)
-}
-
-// DecomposeContext is the context-aware reduction: cancellation is observed
-// before every color iteration and inside context-aware carvers.
+// DecomposeContext is the standard reduction from network decomposition to
+// ball carving used by Theorems 2.3 and 3.4: repeat the carver with
+// eps = 1/2 on the remaining nodes; clusters found in iteration i receive
+// color i. A deterministic carver yields at most ceil(log₂ n) + 1 colors.
+// Cancellation is observed before every color iteration and inside
+// context-aware carvers.
 func DecomposeContext(ctx context.Context, g *graph.Graph, carver CtxStrongCarver, m *rounds.Meter) (*cluster.Decomposition, error) {
 	n := g.N()
 	assign := make([]int, n)

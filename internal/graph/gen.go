@@ -154,7 +154,10 @@ func Gnp(n int, p float64, seed int64) *Graph {
 		return Complete(n)
 	}
 	if p > 0 {
-		// Geometric skipping over the n*(n-1)/2 potential edges.
+		// One Bernoulli(p) draw for each of the n*(n-1)/2 node pairs, in
+		// (u, v) order: O(n²) time. Skipping ahead geometrically would be
+		// O(n+m) but would change the RNG stream every seeded graph and
+		// golden fixture depends on.
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {
 				if rng.Float64() < p {

@@ -65,25 +65,6 @@ func ParamsFor(n int, eps float64) Params {
 // eps ∈ (0, 1]. The returned carving assigns cluster ids to surviving nodes
 // of the subgraph and leaves every other node Unclustered.
 func Carve(g *graph.Graph, nodes []int, eps float64, m *rounds.Meter) (*cluster.Carving, error) {
-	return carve(g, nodes, eps, m, graph.ParallelConfig{})
-}
-
-// CarveParallel is Carve with frontier-parallel phase scans: when cfg
-// enables parallelism for the carved set's size, the two embarrassingly
-// parallel read-only scans of each step — seeding the proposer candidate
-// set and computing every candidate's best (label, via) choice — are
-// chunked across cfg.Workers goroutines. All state mutation (proposal
-// resolution, acceptance, tree growth) stays sequential, so the carving
-// is bit-identical to Carve's: the parallel scans fill position-indexed
-// slots that a sequential merge consumes in the exact order the
-// sequential loop would have produced. Round-complexity charges to m are
-// likewise identical — parallelism is a wall-clock optimization, not a
-// model change.
-func CarveParallel(g *graph.Graph, nodes []int, eps float64, m *rounds.Meter, cfg graph.ParallelConfig) (*cluster.Carving, error) {
-	return carve(g, nodes, eps, m, cfg)
-}
-
-func carve(g *graph.Graph, nodes []int, eps float64, m *rounds.Meter, cfg graph.ParallelConfig) (*cluster.Carving, error) {
 	if eps <= 0 || eps > 1 {
 		return nil, fmt.Errorf("rg: eps %v outside (0, 1]", eps)
 	}
@@ -95,9 +76,6 @@ func carve(g *graph.Graph, nodes []int, eps float64, m *rounds.Meter, cfg graph.
 		}
 	}
 	st := newState(g, nodes, eps)
-	if cfg.Enabled(len(nodes)) {
-		st.workers = cfg.Workers
-	}
 	for phase := 0; phase < st.b; phase++ {
 		st.runPhase(phase, m)
 	}
@@ -125,20 +103,10 @@ type clusterInfo struct {
 	retired  bool
 }
 
-// propSlot is one candidate's result from a parallel collect scan,
-// indexed by the candidate's position in the sorted activeBlue slice.
-// label -1 means the candidate found no live non-retired red cluster (or
-// died / turned red) and drops out of the active set at merge time.
-type propSlot struct {
-	label int
-	via   int
-}
-
 type state struct {
-	g       *graph.Graph
-	b       int
-	delta   float64
-	workers int // >1 enables the frontier-parallel phase scans
+	g     *graph.Graph
+	b     int
+	delta float64
 
 	nodes    []int // the carved set S; every cluster label is one of these
 	inS      []bool
@@ -146,9 +114,8 @@ type state struct {
 	label    []int         // current cluster label, -1 for dead / outside S
 	clusters []clusterInfo // indexed by label; meaningful only for labels in S
 
-	activeBlue []int      // candidate proposers, maintained incrementally
-	inActive   []bool     // membership mask for activeBlue
-	slots      []propSlot // parallel collect results, one per activeBlue index
+	activeBlue []int  // candidate proposers, maintained incrementally
+	inActive   []bool // membership mask for activeBlue
 
 	// Proposal scratch, reused every step: props collects this step's
 	// proposals in blue-node order, grouped holds them bucketed by label
@@ -230,22 +197,9 @@ func (st *state) runPhase(phase int, m *rounds.Meter) {
 	for _, l := range st.nodes {
 		st.clusters[l].retired = false
 	}
-	if st.workers > 1 {
-		st.seedActiveBlueParallel(phase)
-	} else {
-		st.seedActiveBlue(phase)
-	}
+	st.seedActiveBlue(phase)
 
-	for {
-		var pending int
-		if st.workers > 1 {
-			pending = st.collectProposalsParallel(phase)
-		} else {
-			pending = st.collectProposals(phase)
-		}
-		if pending == 0 {
-			break
-		}
+	for st.collectProposals(phase) > 0 {
 		m.Charge("rg/propose", 2)
 		st.resolveProposals(phase, m)
 	}
@@ -281,45 +235,6 @@ func (st *state) seedActiveBlue(phase int) {
 	}
 }
 
-// seedActiveBlueParallel computes the same candidate set as
-// seedActiveBlue with the per-node test chunked across workers: each
-// chunk writes inActive[v] for every v in its range (which doubles as
-// the reset the sequential path does up front), then a sequential
-// ascending compaction rebuilds activeBlue — the same ascending order
-// the sequential scan appends in.
-func (st *state) seedActiveBlueParallel(phase int) {
-	n := len(st.inActive)
-	graph.ForChunks(n, st.workers, func(_, lo, hi int) {
-		st.seedScan(phase, lo, hi)
-	})
-	st.activeBlue = st.activeBlue[:0]
-	for v := 0; v < n; v++ {
-		if st.inActive[v] {
-			st.activeBlue = append(st.activeBlue, v)
-		}
-	}
-}
-
-// seedScan is seedActiveBlueParallel's chunk body: a pure function of
-// the (stable during seeding) alive/label arrays, writing only the
-// chunk's own inActive range.
-//
-//sdlint:hotpath
-func (st *state) seedScan(phase, lo, hi int) {
-	for v := lo; v < hi; v++ {
-		active := false
-		if st.alive[v] && bit(st.label[v], phase) == 0 {
-			for _, u := range st.g.Neighbors(v) {
-				if st.alive[u] && bit(st.label[u], phase) == 1 {
-					active = true
-					break
-				}
-			}
-		}
-		st.inActive[v] = active
-	}
-}
-
 // addActive adds v to the candidate proposer set once.
 //
 //sdlint:hotpath
@@ -346,12 +261,11 @@ func (st *state) collectProposals(phase int) int {
 			st.inActive[v] = false // joined a red cluster or died
 			continue
 		}
-		bestLabel, bestVia, anyRed := -1, -1, false
+		bestLabel, bestVia := -1, -1
 		for _, u := range st.g.Neighbors(v) {
 			if !st.alive[u] || bit(st.label[u], phase) != 1 {
 				continue
 			}
-			anyRed = true
 			lu := st.label[u]
 			if st.clusters[lu].retired {
 				continue
@@ -363,77 +277,16 @@ func (st *state) collectProposals(phase int) int {
 		if bestLabel >= 0 {
 			st.props = append(st.props, proposal{label: bestLabel, node: v, via: bestVia})
 			kept = append(kept, v)
-		} else if anyRed {
-			// All adjacent red clusters are retired; the node can never be
-			// asked again this phase unless a neighbor joins a live red
-			// cluster, which re-adds it.
-			st.inActive[v] = false
 		} else {
+			// No adjacent red cluster is live and non-retired; the node can
+			// never be asked again this phase unless a neighbor joins a live
+			// red cluster, which re-adds it.
 			st.inActive[v] = false
 		}
 	}
 	st.activeBlue = kept
 	st.groupProposals()
 	return len(st.props)
-}
-
-// collectProposalsParallel computes the same proposals as
-// collectProposals: the per-candidate best-(label, via) search — a
-// read-only scan over alive/label/retired, which only resolveProposals
-// mutates — is chunked across workers into position-indexed slots, and a
-// sequential merge then replays the sequential loop's exact
-// keep/drop/append decisions from those slots.
-func (st *state) collectProposalsParallel(phase int) int {
-	slices.Sort(st.activeBlue)
-	if cap(st.slots) < len(st.activeBlue) {
-		st.slots = make([]propSlot, len(st.activeBlue))
-	}
-	st.slots = st.slots[:len(st.activeBlue)]
-	graph.ForChunks(len(st.activeBlue), st.workers, func(_, lo, hi int) {
-		st.slotScan(phase, lo, hi)
-	})
-	kept := st.activeBlue[:0]
-	st.props = st.props[:0]
-	for i, v := range st.activeBlue {
-		if l := st.slots[i].label; l >= 0 {
-			st.props = append(st.props, proposal{label: l, node: v, via: st.slots[i].via})
-			kept = append(kept, v)
-		} else {
-			st.inActive[v] = false
-		}
-	}
-	st.activeBlue = kept
-	st.groupProposals()
-	return len(st.props)
-}
-
-// slotScan is collectProposalsParallel's chunk body: candidate i's
-// smallest-(label, via) red neighbor, or label -1 when it has none (dead,
-// turned red, or all adjacent red clusters retired — the cases the
-// sequential loop drops from the active set).
-//
-//sdlint:hotpath
-func (st *state) slotScan(phase, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		v := st.activeBlue[i]
-		sl := &st.slots[i]
-		sl.label, sl.via = -1, -1
-		if !st.alive[v] || bit(st.label[v], phase) != 0 {
-			continue
-		}
-		for _, u := range st.g.Neighbors(v) {
-			if !st.alive[u] || bit(st.label[u], phase) != 1 {
-				continue
-			}
-			lu := st.label[u]
-			if st.clusters[lu].retired {
-				continue
-			}
-			if sl.label == -1 || lu < sl.label || (lu == sl.label && u < sl.via) {
-				sl.label, sl.via = lu, u
-			}
-		}
-	}
 }
 
 // groupProposals buckets st.props by label into st.grouped: distinct labels
