@@ -294,7 +294,7 @@ func BenchmarkBallCarve_ChangGhaffari(b *testing.B) {
 func BenchmarkBallCarve_Improved(b *testing.B) {
 	g := CycleGraph(benchN)
 	for i := 0; i < b.N; i++ {
-		if _, err := BallCarve(g, 0.5, WithAlgorithm(ChangGhaffariImproved)); err != nil {
+		if _, err := BallCarve(g, 0.5, WithAlgorithmName("chang-ghaffari-improved")); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -124,10 +124,7 @@ func run() error {
 			}
 		}
 	}
-	newRunner := func(algo string) bench.PerfRunner {
-		return strongdecomp.NewEngine(strongdecomp.WithEngineAlgorithm(algo), strongdecomp.WithWorkers(1))
-	}
-	results, err := bench.PerfSuite(newRunner, names, *short)
+	results, err := bench.PerfSuite(strongdecomp.NewEngine(strongdecomp.WithWorkers(1)), names, *short)
 	if err != nil {
 		return err
 	}

@@ -57,7 +57,7 @@ func TestMidRunCancellation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := DecomposeContext(ctx, g, WithAlgorithm(ChangGhaffariImproved))
+	_, err := DecomposeContext(ctx, g, WithAlgorithmName("chang-ghaffari-improved"))
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("mid-run cancellation not observed: %v", err)
 	}
@@ -68,16 +68,13 @@ func TestMidRunCancellation(t *testing.T) {
 
 func TestFacadeUnknownAlgorithmErrors(t *testing.T) {
 	g := PathGraph(4)
-	for _, algo := range []Algorithm{0, Algorithm(99)} {
-		if _, err := BallCarve(g, 0.5, WithAlgorithm(algo)); !errors.Is(err, ErrUnknownAlgorithm) {
-			t.Fatalf("BallCarve(%v): got %v, want ErrUnknownAlgorithm", algo, err)
+	for _, algo := range []string{"nope", "Chang-Ghaffari"} {
+		if _, err := BallCarve(g, 0.5, WithAlgorithmName(algo)); !errors.Is(err, ErrUnknownAlgorithm) {
+			t.Fatalf("BallCarve(%q): got %v, want ErrUnknownAlgorithm", algo, err)
 		}
-		if _, err := Decompose(g, WithAlgorithm(algo)); !errors.Is(err, ErrUnknownAlgorithm) {
-			t.Fatalf("Decompose(%v): got %v, want ErrUnknownAlgorithm", algo, err)
+		if _, err := Decompose(g, WithAlgorithmName(algo)); !errors.Is(err, ErrUnknownAlgorithm) {
+			t.Fatalf("Decompose(%q): got %v, want ErrUnknownAlgorithm", algo, err)
 		}
-	}
-	if _, err := Decompose(g, WithAlgorithmName("nope")); !errors.Is(err, ErrUnknownAlgorithm) {
-		t.Fatalf("WithAlgorithmName: got %v, want ErrUnknownAlgorithm", err)
 	}
 }
 
@@ -86,12 +83,12 @@ func TestFacadeUnknownAlgorithmErrors(t *testing.T) {
 // the results of the legacy signatures.
 func TestContextVariantsMatchLegacyResults(t *testing.T) {
 	g := GridGraph(12, 12)
-	for _, algo := range []Algorithm{ChangGhaffari, MPX, Sequential} {
-		want, err := Decompose(g, WithAlgorithm(algo), WithSeed(5))
+	for _, algo := range []string{"chang-ghaffari", "mpx", "sequential"} {
+		want, err := Decompose(g, WithAlgorithmName(algo), WithSeed(5))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecomposeContext(context.Background(), g, WithAlgorithm(algo), WithSeed(5))
+		got, err := DecomposeContext(context.Background(), g, WithAlgorithmName(algo), WithSeed(5))
 		if err != nil {
 			t.Fatal(err)
 		}

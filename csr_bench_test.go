@@ -123,7 +123,7 @@ func BenchmarkCSR_EngineDecompose(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Decompose(ctx, g, &RunOptions{Seed: 42}); err != nil {
+		if _, err := e.Run(ctx, g, Params{Kind: KindDecompose, Seed: 42}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -136,7 +136,7 @@ func BenchmarkCSR_EngineCarve(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Carve(ctx, g, 0.5, &RunOptions{Seed: 42}); err != nil {
+		if _, err := e.Run(ctx, g, Params{Kind: KindCarve, Eps: 0.5, Seed: 42}); err != nil {
 			b.Fatal(err)
 		}
 	}

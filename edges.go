@@ -6,6 +6,7 @@ import (
 	"strongdecomp/internal/apps"
 	"strongdecomp/internal/cluster"
 	"strongdecomp/internal/core"
+	"strongdecomp/internal/registry"
 )
 
 // EdgeCarving is the edge-version ball-carving result: every node is
@@ -26,7 +27,7 @@ func BallCarveEdges(g *Graph, eps float64, opts ...Option) (*EdgeCarving, error)
 // support; a canceled run returns an error matching ErrCanceled.
 func BallCarveEdgesContext(ctx context.Context, g *Graph, eps float64, opts ...Option) (*EdgeCarving, error) {
 	p, meter := buildParams(KindCarve, eps, opts)
-	if err := p.Validate(); err != nil {
+	if err := registry.ValidateFor(g, p); err != nil {
 		return nil, err
 	}
 	return core.CarveEdgesRGContext(ctx, g, p.Nodes, eps, meter)

@@ -51,8 +51,8 @@ func TestMISMatchesAllAlgorithms(t *testing.T) {
 	// The template works with any valid decomposition, deterministic or
 	// randomized — a cross-algorithm integration test.
 	g := CycleGraph(256)
-	for _, algo := range []Algorithm{ChangGhaffari, ChangGhaffariImproved, MPX, Sequential} {
-		d, err := Decompose(g, WithAlgorithm(algo), WithSeed(3))
+	for _, algo := range []string{"chang-ghaffari", "chang-ghaffari-improved", "mpx", "sequential"} {
+		d, err := Decompose(g, WithAlgorithmName(algo), WithSeed(3))
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}

@@ -16,11 +16,12 @@ import (
 )
 
 // Engine executes decompositions at scale: it owns a worker pool and a
-// sync.Pool of per-run scratch buffers, decomposes the connected components
-// of a graph concurrently, and batches runs over many graphs. All methods
-// honor context cancellation and deadlines (returning errors matching
-// ErrCanceled) and are safe for concurrent use from multiple goroutines —
-// one Engine is meant to be shared by a whole serving process.
+// sync.Pool of per-run scratch buffers and runs the connected components
+// of a graph concurrently. It is algorithm-agnostic — every Run names its
+// construction in Params — honors context cancellation and deadlines
+// (returning errors matching ErrCanceled), and is safe for concurrent use
+// from multiple goroutines: one Engine is meant to be shared by a whole
+// serving process.
 //
 // Per-component parallelism is sound for network decomposition: distinct
 // connected components are non-adjacent, so their decompositions are
@@ -29,13 +30,11 @@ import (
 // Meter folds component costs with MergeParallel (max) rather than
 // sequentially (sum).
 type Engine struct {
-	algo    string
 	workers int
 
 	scratch sync.Pool // *graph.Scratch
 
 	runs        atomic.Int64
-	batches     atomic.Int64
 	merges      atomic.Int64
 	inFlight    atomic.Int64
 	maxParallel atomic.Int64
@@ -58,20 +57,9 @@ func WithWorkers(n int) EngineOption {
 	}
 }
 
-// WithEngineAlgorithm selects the registered construction the engine runs
-// (default the paper's "chang-ghaffari"). The name is resolved at run time,
-// so constructions registered after NewEngine are reachable too.
-func WithEngineAlgorithm(name string) EngineOption {
-	return func(e *Engine) { e.algo = name }
-}
-
-// NewEngine returns an engine running the given construction over a worker
-// pool.
+// NewEngine returns an engine with a worker pool.
 func NewEngine(opts ...EngineOption) *Engine {
-	e := &Engine{
-		algo:    ChangGhaffari.String(),
-		workers: runtime.GOMAXPROCS(0),
-	}
+	e := &Engine{workers: runtime.GOMAXPROCS(0)}
 	for _, opt := range opts {
 		opt(e)
 	}
@@ -82,9 +70,6 @@ func NewEngine(opts ...EngineOption) *Engine {
 	return e
 }
 
-// Algorithm returns the registry name of the construction the engine runs.
-func (e *Engine) Algorithm() string { return e.algo }
-
 // Workers returns the worker-pool size.
 func (e *Engine) Workers() int { return e.workers }
 
@@ -92,15 +77,11 @@ func (e *Engine) Workers() int { return e.workers }
 // counters — the observability surface consumed by the serving layer's
 // /metrics endpoint, so external code never reaches into engine internals.
 type EngineStats struct {
-	// Algorithm is the registry name of the construction the engine runs.
-	Algorithm string
 	// Workers is the configured worker-pool size.
 	Workers int
 	// Runs counts construction invocations (per-component runs, whole-graph
 	// runs, and carvings) the engine has executed.
 	Runs int64
-	// Batches counts DecomposeBatch calls.
-	Batches int64
 	// ComponentMerges counts the cache-unfriendly merge passes: runs whose
 	// host graph split into multiple components, requiring per-component
 	// results to be stitched back together.
@@ -117,10 +98,8 @@ type EngineStats struct {
 // (individually, not as one consistent cut).
 func (e *Engine) Stats() EngineStats {
 	return EngineStats{
-		Algorithm:       e.algo,
 		Workers:         e.workers,
 		Runs:            e.runs.Load(),
-		Batches:         e.batches.Load(),
 		ComponentMerges: e.merges.Load(),
 		InFlight:        e.inFlight.Load(),
 		MaxParallel:     e.maxParallel.Load(),
@@ -133,7 +112,6 @@ func (s EngineStats) Counters() map[string]int64 {
 	return map[string]int64{
 		"workers":          int64(s.Workers),
 		"runs":             s.Runs,
-		"batches":          s.Batches,
 		"component_merges": s.ComponentMerges,
 		"in_flight":        s.InFlight,
 		"max_parallel":     s.MaxParallel,
@@ -177,18 +155,20 @@ func (c *stageClock) take() []registry.StageTiming {
 	return c.stages
 }
 
-// Run executes one canonical Params on the engine: the v2 entry point.
-// The Params is normalized and validated (an empty Algorithm means the
-// engine's configured construction), multi-component graphs run their
-// components concurrently on the worker pool, and metering is opt-in via
-// p.Meter with the total reported on Outcome.Rounds. Carve, Decompose,
-// and DecomposeBatch are thin shims over the same internals.
+// Run executes one canonical Params on the engine — its only execution
+// entry. The Params is normalized (an empty Algorithm means
+// DefaultAlgorithm) and validated against g, multi-component graphs run
+// their components concurrently on the worker pool with seed p.Seed + i
+// for component i (so results are deterministic regardless of
+// scheduling), and metering is opt-in via p.Meter: the parallel (max)
+// fold of the per-component costs is reported on Outcome.Rounds.
 func (e *Engine) Run(ctx context.Context, g *Graph, p Params) (*Outcome, error) {
-	if p.Algorithm == "" {
-		p.Algorithm = e.algo
-	}
 	p = p.Normalized()
-	if err := p.Validate(); err != nil {
+	if err := registry.ValidateFor(g, p); err != nil {
+		return nil, err
+	}
+	d, err := Lookup(p.Algorithm)
+	if err != nil {
 		return nil, err
 	}
 	var meter *rounds.Meter
@@ -201,17 +181,17 @@ func (e *Engine) Run(ctx context.Context, g *Graph, p Params) (*Outcome, error) 
 	sc := newStageClock(ctx)
 	switch p.Kind {
 	case KindCarve:
-		c, err := e.carve(ctx, g, p, meter, sc)
+		c, err := e.carve(ctx, d, g, p, meter, sc)
 		if err != nil {
 			return nil, err
 		}
 		out.Carving = c
 	case KindDecompose:
-		d, err := e.decomposeGraph(ctx, g, p, meter, true, sc)
+		dec, err := e.decomposeGraph(ctx, d, g, p, meter, sc)
 		if err != nil {
 			return nil, err
 		}
-		out.Decomposition = d
+		out.Decomposition = dec
 	}
 	if meter != nil {
 		out.Rounds = meter.Rounds()
@@ -220,27 +200,13 @@ func (e *Engine) Run(ctx context.Context, g *Graph, p Params) (*Outcome, error) 
 	return out, nil
 }
 
-// Carve runs the engine's construction as a ball carving.
-//
-// Deprecated: build a Params{Kind: KindCarve, ...} and call Run; this
-// positional (eps, opts) form survives only for existing callers.
-func (e *Engine) Carve(ctx context.Context, g *Graph, eps float64, opts *RunOptions) (*Carving, error) {
-	o := opts.Normalized()
-	p := Params{Algorithm: e.algo, Kind: KindCarve, Eps: eps, Seed: o.Seed, Nodes: o.Nodes}
-	return e.carve(ctx, g, p, o.Meter, nil)
-}
-
 // carve is the carving core: like decomposeGraph, a multi-component graph
 // (with no Nodes restriction) is carved per component concurrently and
 // merged — each component removes at most an eps fraction of its own
 // nodes, so the merged carving meets the bound too. dst (which may be
 // nil) receives the parallel (max) fold of the per-component costs; sc
 // (which may be nil) receives the phase boundaries.
-func (e *Engine) carve(ctx context.Context, g *Graph, p Params, dst *rounds.Meter, sc *stageClock) (*Carving, error) {
-	d, err := Lookup(p.Algorithm)
-	if err != nil {
-		return nil, err
-	}
+func (e *Engine) carve(ctx context.Context, d Decomposer, g *Graph, p Params, dst *rounds.Meter, sc *stageClock) (*Carving, error) {
 	var comps [][]int
 	if p.Nodes == nil {
 		comps = e.components(g)
@@ -258,7 +224,7 @@ func (e *Engine) carve(ctx context.Context, g *Graph, p Params, dst *rounds.Mete
 
 	pieces := make([]cluster.Piece, len(comps))
 	meters := make([]*rounds.Meter, len(comps))
-	err = e.runPool(ctx, len(comps), func(ctx context.Context, i int) error {
+	err := e.runPool(ctx, len(comps), func(ctx context.Context, i int) error {
 		e.runs.Add(1)
 		sub, nodeOf := e.inducedSubgraph(g, comps[i])
 		ro := &RunOptions{Seed: p.Seed + int64(i), Meter: rounds.NewMeter()}
@@ -274,78 +240,17 @@ func (e *Engine) carve(ctx context.Context, g *Graph, p Params, dst *rounds.Mete
 		return nil, err
 	}
 	sc.mark("carve-rounds")
-	mergeParallelInto(dst, meters)
+	mergeParallel(dst, meters)
 	c, err := cluster.MergeCarvings(g.N(), pieces)
 	sc.mark("merge")
 	return c, err
 }
 
-// Decompose decomposes g, running its connected components concurrently on
-// the worker pool and merging the per-component results. Component i runs
-// with seed opts.Seed + i, so results are deterministic regardless of
-// scheduling. The attached meter receives the parallel (max) fold of the
-// per-component costs.
-//
-// Deprecated: build a Params{Kind: KindDecompose, ...} and call Run; this
-// *RunOptions form survives only for existing callers.
-func (e *Engine) Decompose(ctx context.Context, g *Graph, opts *RunOptions) (*Decomposition, error) {
-	o := opts.Normalized()
-	p := Params{Algorithm: e.algo, Kind: KindDecompose, Seed: o.Seed}
-	return e.decomposeGraph(ctx, g, p, o.Meter, true, nil)
-}
-
-// DecomposeBatch decomposes every graph of the batch on the worker pool and
-// returns the results in input order. Graph i runs with seed opts.Seed + i.
-// The first failure (including cancellation) cancels the remaining work.
-func (e *Engine) DecomposeBatch(ctx context.Context, gs []*Graph, opts *RunOptions) ([]*Decomposition, error) {
-	e.batches.Add(1)
-	o := opts.Normalized()
-	out := make([]*Decomposition, len(gs))
-	meters := make([]*rounds.Meter, len(gs))
-	err := e.runPool(ctx, len(gs), func(ctx context.Context, i int) error {
-		p := Params{Algorithm: e.algo, Kind: KindDecompose, Seed: o.Seed + int64(i)}
-		m := rounds.NewMeter()
-		// Components of one batch item run sequentially: batch-level
-		// parallelism already saturates the pool.
-		d, err := e.decomposeGraph(ctx, gs[i], p, m, false, nil)
-		if err != nil {
-			return fmt.Errorf("graph %d: %w", i, err)
-		}
-		out[i] = d
-		meters[i] = m
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	mergeParallelInto(o.Meter, meters)
-	return out, nil
-}
-
-// mergeParallelInto folds the per-task meters as one parallel phase (max
-// across tasks) and then adds that phase sequentially into dst, so a meter
-// reused across runs keeps accumulating instead of being maxed against its
-// own history.
-func mergeParallelInto(dst *rounds.Meter, meters []*rounds.Meter) {
-	if dst == nil {
-		return
-	}
-	phase := rounds.NewMeter()
-	for _, m := range meters {
-		phase.MergeParallel(m)
-	}
-	dst.Merge(phase)
-}
-
 // decomposeGraph is the decomposition core: it splits g into connected
-// components and runs them in parallel when parallel is set. dst (which
+// components and runs them concurrently on the worker pool. dst (which
 // may be nil) receives the parallel (max) fold of the per-component
 // costs; sc (which may be nil) receives the phase boundaries.
-func (e *Engine) decomposeGraph(ctx context.Context, g *Graph, p Params, dst *rounds.Meter, parallel bool, sc *stageClock) (*Decomposition, error) {
-	d, err := Lookup(p.Algorithm)
-	if err != nil {
-		return nil, err
-	}
+func (e *Engine) decomposeGraph(ctx context.Context, d Decomposer, g *Graph, p Params, dst *rounds.Meter, sc *stageClock) (*Decomposition, error) {
 	comps := e.components(g)
 	sc.mark("split")
 	if len(comps) <= 1 {
@@ -358,7 +263,7 @@ func (e *Engine) decomposeGraph(ctx context.Context, g *Graph, p Params, dst *ro
 
 	pieces := make([]cluster.Piece, len(comps))
 	meters := make([]*rounds.Meter, len(comps))
-	runOne := func(ctx context.Context, i int) error {
+	err := e.runPool(ctx, len(comps), func(ctx context.Context, i int) error {
 		e.runs.Add(1)
 		sub, nodeOf := e.inducedSubgraph(g, comps[i])
 		ro := &RunOptions{Seed: p.Seed + int64(i), Meter: rounds.NewMeter()}
@@ -369,24 +274,24 @@ func (e *Engine) decomposeGraph(ctx context.Context, g *Graph, p Params, dst *ro
 		pieces[i] = cluster.Piece{D: dec, NodeOf: nodeOf}
 		meters[i] = ro.Meter
 		return nil
-	}
-	if parallel {
-		err = e.runPool(ctx, len(comps), runOne)
-	} else {
-		for i := 0; err == nil && i < len(comps); i++ {
-			if err = registry.CtxErr(ctx); err == nil {
-				err = runOne(ctx, i)
-			}
-		}
-	}
+	})
 	if err != nil {
 		return nil, err
 	}
 	sc.mark("carve-rounds")
-	mergeParallelInto(dst, meters)
+	mergeParallel(dst, meters)
 	dec, err := cluster.MergeDecompositions(g.N(), pieces)
 	sc.mark("merge")
 	return dec, err
+}
+
+// mergeParallel folds the per-component meters into dst (which may be
+// nil) as one parallel phase: the max across components. dst is the
+// run's own fresh meter, so folding straight into it equals the phase.
+func mergeParallel(dst *rounds.Meter, meters []*rounds.Meter) {
+	for _, m := range meters {
+		dst.MergeParallel(m)
+	}
 }
 
 // runPool executes fn(ctx, 0..n-1) on the engine's worker pool. The first

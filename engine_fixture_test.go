@@ -41,13 +41,14 @@ func fixtureGraph() *graph.Graph {
 
 func computeFixtures(t testing.TB) []engineFixture {
 	g := fixtureGraph()
+	e := NewEngine(WithWorkers(4))
 	var out []engineFixture
 	for _, algo := range Algorithms() {
-		e := NewEngine(WithEngineAlgorithm(algo), WithWorkers(4))
-		d, err := e.Decompose(context.Background(), g, &RunOptions{Seed: 42})
+		o, err := e.Run(context.Background(), g, Params{Algorithm: algo, Kind: KindDecompose, Seed: 42})
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
+		d := o.Decomposition
 		out = append(out, engineFixture{
 			Algorithm: algo, K: d.K, Colors: d.Colors,
 			Assign: d.Assign, Color: d.Color,

@@ -65,14 +65,16 @@ func TestEngineDecomposeMultiComponentMatchesDirect(t *testing.T) {
 	par := NewEngine(WithWorkers(8))
 	seq := NewEngine(WithWorkers(1))
 	for seed := int64(1); seed <= 3; seed++ {
-		dp, err := par.Decompose(context.Background(), g, &RunOptions{Seed: seed})
+		p := Params{Kind: KindDecompose, Seed: seed}
+		outPar, err := par.Run(context.Background(), g, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds, err := seq.Decompose(context.Background(), g, &RunOptions{Seed: seed})
+		outSeq, err := seq.Run(context.Background(), g, p)
 		if err != nil {
 			t.Fatal(err)
 		}
+		dp, ds := outPar.Decomposition, outSeq.Decomposition
 		if dp.K != ds.K || dp.Colors != ds.Colors || !equalInts(dp.Assign, ds.Assign) || !equalInts(dp.Color, ds.Color) {
 			t.Fatalf("seed %d: parallel and sequential engine results differ", seed)
 		}

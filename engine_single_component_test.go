@@ -16,11 +16,10 @@ import (
 func TestEngineSingleComponentWorkerInvariance(t *testing.T) {
 	g := graph.ConnectedGnp(2000, 0.004, 17)
 	ctx := context.Background()
+	one := NewEngine(WithWorkers(1))
+	four := NewEngine(WithWorkers(4))
 	for _, algo := range Algorithms() {
-		one := NewEngine(WithEngineAlgorithm(algo), WithWorkers(1))
-		four := NewEngine(WithEngineAlgorithm(algo), WithWorkers(4))
-
-		dp := Params{Kind: KindDecompose, Seed: 7, Meter: true}
+		dp := Params{Algorithm: algo, Kind: KindDecompose, Seed: 7, Meter: true}
 		want, err := one.Run(ctx, g, dp)
 		if err != nil {
 			t.Fatalf("%s: decompose at 1 worker: %v", algo, err)
@@ -35,7 +34,7 @@ func TestEngineSingleComponentWorkerInvariance(t *testing.T) {
 			t.Errorf("%s: single-component decompose differs between 1 and 4 workers", algo)
 		}
 
-		cp := Params{Kind: KindCarve, Eps: 0.5, Seed: 7, Meter: true}
+		cp := Params{Algorithm: algo, Kind: KindCarve, Eps: 0.5, Seed: 7, Meter: true}
 		wantC, err := one.Run(ctx, g, cp)
 		if err != nil {
 			t.Fatalf("%s: carve at 1 worker: %v", algo, err)

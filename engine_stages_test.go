@@ -14,13 +14,13 @@ import (
 // phase decomposition — split, carve-rounds, and merge for
 // multi-component graphs — in execution order.
 func TestEngineRunStageTimings(t *testing.T) {
-	e := strongdecomp.NewEngine(strongdecomp.WithEngineAlgorithm("sequential"))
+	e := strongdecomp.NewEngine()
 	split, err := strongdecomp.NewGraph(9, [][2]int{{0, 1}, {1, 2}, {3, 4}, {4, 5}, {6, 7}, {7, 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	plain, err := e.Run(context.Background(), split, strongdecomp.Params{Kind: strongdecomp.KindDecompose})
+	plain, err := e.Run(context.Background(), split, strongdecomp.Params{Algorithm: "sequential", Kind: strongdecomp.KindDecompose})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +48,10 @@ func TestEngineRunStageTimings(t *testing.T) {
 		}
 	}
 
-	checkStages(strongdecomp.Params{Kind: strongdecomp.KindDecompose}, split,
+	checkStages(strongdecomp.Params{Algorithm: "sequential", Kind: strongdecomp.KindDecompose}, split,
 		[]string{"split", "carve-rounds", "merge"})
-	checkStages(strongdecomp.Params{Kind: strongdecomp.KindDecompose}, strongdecomp.PathGraph(8),
+	checkStages(strongdecomp.Params{Algorithm: "sequential", Kind: strongdecomp.KindDecompose}, strongdecomp.PathGraph(8),
 		[]string{"split", "carve-rounds"})
-	checkStages(strongdecomp.Params{Kind: strongdecomp.KindCarve, Eps: 0.5}, split,
+	checkStages(strongdecomp.Params{Algorithm: "sequential", Kind: strongdecomp.KindCarve, Eps: 0.5}, split,
 		[]string{"split", "carve-rounds", "merge"})
 }

@@ -8,26 +8,24 @@ import (
 )
 
 // TestEngineStatsSnapshot pins the Stats() observability contract the
-// serving layer's /metrics endpoint depends on: identity fields, run and
-// batch counts, and the component-merge counter that distinguishes
+// serving layer's /metrics endpoint depends on: the worker count, run
+// counts, and the component-merge counter that distinguishes
 // single-component runs from stitched multi-component ones.
 func TestEngineStatsSnapshot(t *testing.T) {
-	e := strongdecomp.NewEngine(
-		strongdecomp.WithEngineAlgorithm("sequential"),
-		strongdecomp.WithWorkers(3),
-	)
+	e := strongdecomp.NewEngine(strongdecomp.WithWorkers(3))
 
 	s := e.Stats()
-	if s.Algorithm != "sequential" || s.Workers != 3 {
-		t.Fatalf("identity fields = (%q, %d), want (sequential, 3)", s.Algorithm, s.Workers)
+	if s.Workers != 3 {
+		t.Fatalf("Workers = %d, want 3", s.Workers)
 	}
-	if s.Runs != 0 || s.Batches != 0 || s.ComponentMerges != 0 || s.InFlight != 0 {
+	if s.Runs != 0 || s.ComponentMerges != 0 || s.InFlight != 0 {
 		t.Fatalf("fresh engine has nonzero counters: %+v", s)
 	}
 
 	ctx := context.Background()
+	p := strongdecomp.Params{Algorithm: "sequential", Kind: strongdecomp.KindDecompose}
 	connected := strongdecomp.PathGraph(16)
-	if _, err := e.Decompose(ctx, connected, nil); err != nil {
+	if _, err := e.Run(ctx, connected, p); err != nil {
 		t.Fatal(err)
 	}
 	s = e.Stats()
@@ -40,7 +38,7 @@ func TestEngineStatsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Decompose(ctx, split, nil); err != nil {
+	if _, err := e.Run(ctx, split, p); err != nil {
 		t.Fatal(err)
 	}
 	s = e.Stats()
@@ -48,19 +46,20 @@ func TestEngineStatsSnapshot(t *testing.T) {
 		t.Fatalf("after split run: Runs=%d Merges=%d, want 4, 1", s.Runs, s.ComponentMerges)
 	}
 
-	if _, err := e.DecomposeBatch(ctx, []*strongdecomp.Graph{connected, connected}, nil); err != nil {
+	// Another algorithm on the same engine counts into the same totals.
+	if _, err := e.Run(ctx, split, strongdecomp.Params{Algorithm: "mpx", Kind: strongdecomp.KindDecompose}); err != nil {
 		t.Fatal(err)
 	}
 	s = e.Stats()
-	if s.Batches != 1 || s.Runs != 6 {
-		t.Fatalf("after batch: Batches=%d Runs=%d, want 1, 6", s.Batches, s.Runs)
+	if s.Runs != 7 || s.ComponentMerges != 2 {
+		t.Fatalf("after mpx split run: Runs=%d Merges=%d, want 7, 2", s.Runs, s.ComponentMerges)
 	}
 	if s.InFlight != 0 {
 		t.Fatalf("idle engine reports InFlight=%d", s.InFlight)
 	}
 
 	c := s.Counters()
-	for _, key := range []string{"workers", "runs", "batches", "component_merges", "in_flight", "max_parallel"} {
+	for _, key := range []string{"workers", "runs", "component_merges", "in_flight", "max_parallel"} {
 		if _, ok := c[key]; !ok {
 			t.Errorf("Counters() missing %q", key)
 		}
@@ -72,12 +71,13 @@ func TestEngineStatsSnapshot(t *testing.T) {
 
 // TestEngineStatsCarveMerge covers the carving path's merge counter.
 func TestEngineStatsCarveMerge(t *testing.T) {
-	e := strongdecomp.NewEngine(strongdecomp.WithEngineAlgorithm("sequential"))
+	e := strongdecomp.NewEngine()
 	split, err := strongdecomp.NewGraph(6, [][2]int{{0, 1}, {1, 2}, {3, 4}, {4, 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Carve(context.Background(), split, 0.5, nil); err != nil {
+	p := strongdecomp.Params{Algorithm: "sequential", Kind: strongdecomp.KindCarve, Eps: 0.5}
+	if _, err := e.Run(context.Background(), split, p); err != nil {
 		t.Fatal(err)
 	}
 	if s := e.Stats(); s.ComponentMerges != 1 || s.Runs != 2 {

@@ -48,6 +48,16 @@ func registerBlocking(t *testing.T, name string, started chan<- struct{}, releas
 	t.Cleanup(func() { Unregister(name) })
 }
 
+// threeComponentGraph returns three disjoint paths in one host graph.
+func threeComponentGraph(t *testing.T) *Graph {
+	t.Helper()
+	g, err := NewGraph(9, [][2]int{{0, 1}, {1, 2}, {3, 4}, {4, 5}, {6, 7}, {7, 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // TestEngineDecomposeRunsComponentsInParallel proves that a multi-component
 // graph is decomposed by more than one worker at once: both components must
 // be inside the (blocking) construction simultaneously before either is
@@ -57,14 +67,14 @@ func TestEngineDecomposeRunsComponentsInParallel(t *testing.T) {
 	release := make(chan struct{})
 	registerBlocking(t, "test-block-comp", started, release)
 
-	e := NewEngine(WithWorkers(2), WithEngineAlgorithm("test-block-comp"))
+	e := NewEngine(WithWorkers(2))
 	g := twoComponentGraph(t)
 
 	done := make(chan error, 1)
 	go func() {
-		d, err := e.Decompose(context.Background(), g, nil)
-		if err == nil && d.K != 2 {
-			err = fmt.Errorf("merged %d clusters, want 2", d.K)
+		out, err := e.Run(context.Background(), g, Params{Algorithm: "test-block-comp"})
+		if err == nil && out.Decomposition.K != 2 {
+			err = fmt.Errorf("merged %d clusters, want 2", out.Decomposition.K)
 		}
 		done <- err
 	}()
@@ -85,21 +95,23 @@ func TestEngineDecomposeRunsComponentsInParallel(t *testing.T) {
 	}
 }
 
-// TestEngineDecomposeBatchUsesMultipleWorkers is the batch-level variant:
-// two graphs of the batch must be in flight simultaneously.
-func TestEngineDecomposeBatchUsesMultipleWorkers(t *testing.T) {
+// TestEngineRunBoundsParallelismByWorkers runs a three-component graph on
+// a two-worker engine: two components must be in flight simultaneously,
+// the third must wait for a free worker, and the engine must never report
+// more tasks in flight than it has workers.
+func TestEngineRunBoundsParallelismByWorkers(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
-	registerBlocking(t, "test-block-batch", started, release)
+	registerBlocking(t, "test-block-pool", started, release)
 
-	e := NewEngine(WithWorkers(4), WithEngineAlgorithm("test-block-batch"))
-	gs := []*Graph{PathGraph(4), PathGraph(5), PathGraph(6)}
+	e := NewEngine(WithWorkers(2))
+	g := threeComponentGraph(t)
 
 	done := make(chan error, 1)
 	go func() {
-		out, err := e.DecomposeBatch(context.Background(), gs, nil)
-		if err == nil && len(out) != 3 {
-			err = fmt.Errorf("got %d results, want 3", len(out))
+		out, err := e.Run(context.Background(), g, Params{Algorithm: "test-block-pool"})
+		if err == nil && out.Decomposition.K != 3 {
+			err = fmt.Errorf("merged %d clusters, want 3", out.Decomposition.K)
 		}
 		done <- err
 	}()
@@ -108,10 +120,15 @@ func TestEngineDecomposeBatchUsesMultipleWorkers(t *testing.T) {
 		select {
 		case <-started:
 		case <-time.After(10 * time.Second):
-			t.Fatalf("only %d batch runs started concurrently; engine is serializing", i)
+			t.Fatalf("only %d component runs started concurrently; engine is serializing", i)
 		}
 	}
-	// Drain the third start (whenever it comes) and release everyone.
+	select {
+	case <-started:
+		t.Fatal("third component started while both workers were busy")
+	case <-time.After(50 * time.Millisecond):
+	}
+	// Drain the third start (once a worker frees up) and release everyone.
 	go func() {
 		for range started {
 		}
@@ -121,36 +138,38 @@ func TestEngineDecomposeBatchUsesMultipleWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	close(started)
-	if stats := e.Stats(); stats.MaxParallel < 2 {
-		t.Fatalf("max parallelism %d, want >= 2", stats.MaxParallel)
+	if stats := e.Stats(); stats.MaxParallel != 2 {
+		t.Fatalf("max parallelism %d, want exactly the 2 workers", stats.MaxParallel)
 	}
 }
 
-// TestEngineBatchHonorsCancellation cancels mid-batch while runs are parked
-// inside the construction and demands an ErrCanceled-matching failure.
-func TestEngineBatchHonorsCancellation(t *testing.T) {
+// TestEngineRunHonorsCancellation cancels a multi-component run while its
+// components are parked inside the construction on the worker pool and
+// demands an ErrCanceled-matching failure.
+func TestEngineRunHonorsCancellation(t *testing.T) {
 	started := make(chan struct{}, 8)
 	release := make(chan struct{})
 	defer close(release)
 	registerBlocking(t, "test-block-cancel", started, release)
 
-	e := NewEngine(WithWorkers(2), WithEngineAlgorithm("test-block-cancel"))
+	e := NewEngine(WithWorkers(2))
+	g := threeComponentGraph(t)
 	ctx, cancel := context.WithCancel(context.Background())
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := e.DecomposeBatch(ctx, []*Graph{PathGraph(4), PathGraph(5), PathGraph(6)}, nil)
+		_, err := e.Run(ctx, g, Params{Algorithm: "test-block-cancel"})
 		done <- err
 	}()
-	<-started // at least one run is mid-flight
+	<-started // at least one component is mid-flight
 	cancel()
 	select {
 	case err := <-done:
 		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("canceled batch returned %v, want ErrCanceled", err)
+			t.Fatalf("canceled run returned %v, want ErrCanceled", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("canceled batch did not return")
+		t.Fatal("canceled run did not return")
 	}
 }
 
@@ -158,49 +177,43 @@ func TestEngineBatchHonorsCancellation(t *testing.T) {
 // a multi-component graph and validates the merged decomposition.
 func TestEngineDecomposeMergesComponentsCorrectly(t *testing.T) {
 	g := twoComponentGraph(t)
+	e := NewEngine(WithWorkers(2))
 	for _, name := range []string{"chang-ghaffari", "mpx", "sequential"} {
-		e := NewEngine(WithWorkers(2), WithEngineAlgorithm(name))
-		m := NewMeter()
-		d, err := e.Decompose(context.Background(), g, &RunOptions{Seed: 3, Meter: m})
+		out, err := e.Run(context.Background(), g, Params{Algorithm: name, Seed: 3, Meter: true})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if err := VerifyDecomposition(g, d, -1, true); err != nil {
+		if err := VerifyDecomposition(g, out.Decomposition, -1, true); err != nil {
 			t.Fatalf("%s merged decomposition invalid: %v", name, err)
 		}
-		if m.Rounds() == 0 {
-			t.Fatalf("%s: meter empty after metered engine run", name)
-		}
-		// A meter reused across runs accumulates sequentially: the second
-		// run must add on top of the first, not max against it.
-		first := m.Rounds()
-		if _, err := e.Decompose(context.Background(), g, &RunOptions{Seed: 3, Meter: m}); err != nil {
-			t.Fatal(err)
-		}
-		if m.Rounds() <= first {
-			t.Fatalf("%s: reused meter did not accumulate (%d then %d)", name, first, m.Rounds())
+		if out.Rounds == 0 {
+			t.Fatalf("%s: no rounds after metered engine run", name)
 		}
 	}
 }
 
 // TestEngineSharedAcrossGoroutines exercises one Engine value from many
-// goroutines simultaneously — the serving-process usage pattern; run with
-// -race (CI does) to check the scratch pool and counters.
+// goroutines simultaneously, across algorithms — the serving-process usage
+// pattern; run with -race (CI does) to check the scratch pool and counters.
 func TestEngineSharedAcrossGoroutines(t *testing.T) {
 	e := NewEngine(WithWorkers(4))
 	g := twoComponentGraph(t)
+	algos := []string{"chang-ghaffari", "mpx"}
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
-			d, err := e.Decompose(context.Background(), g, &RunOptions{Seed: seed})
+			p := Params{Algorithm: algos[seed%2], Seed: seed}
+			out, err := e.Run(context.Background(), g, p)
 			if err == nil {
-				err = VerifyDecomposition(g, d, -1, true)
+				err = VerifyDecomposition(g, out.Decomposition, -1, true)
 			}
-			if err == nil {
-				_, err = e.DecomposeBatch(context.Background(), []*Graph{CycleGraph(32), GridGraph(5, 5)}, nil)
+			for _, h := range []*Graph{CycleGraph(32), GridGraph(5, 5)} {
+				if err == nil {
+					_, err = e.Run(context.Background(), h, p)
+				}
 			}
 			if err != nil {
 				errs <- err
@@ -217,15 +230,17 @@ func TestEngineSharedAcrossGoroutines(t *testing.T) {
 	}
 }
 
-// TestEngineUnknownAlgorithm pins the registry error on a misconfigured
-// engine.
+// TestEngineUnknownAlgorithm pins the registry error for a Params naming
+// no registered construction.
 func TestEngineUnknownAlgorithm(t *testing.T) {
-	e := NewEngine(WithEngineAlgorithm("nope"))
-	if _, err := e.Decompose(context.Background(), PathGraph(3), nil); !errors.Is(err, ErrUnknownAlgorithm) {
-		t.Fatalf("want ErrUnknownAlgorithm, got %v", err)
-	}
-	if _, err := e.Carve(context.Background(), PathGraph(3), 0.5, nil); !errors.Is(err, ErrUnknownAlgorithm) {
-		t.Fatalf("want ErrUnknownAlgorithm, got %v", err)
+	e := NewEngine()
+	for _, p := range []Params{
+		{Algorithm: "nope", Kind: KindDecompose},
+		{Algorithm: "nope", Kind: KindCarve, Eps: 0.5},
+	} {
+		if _, err := e.Run(context.Background(), PathGraph(3), p); !errors.Is(err, ErrUnknownAlgorithm) {
+			t.Fatalf("%s: want ErrUnknownAlgorithm, got %v", p.Kind, err)
+		}
 	}
 }
 
@@ -235,22 +250,21 @@ func TestEngineUnknownAlgorithm(t *testing.T) {
 func TestEngineCarveDelegates(t *testing.T) {
 	e := NewEngine(WithWorkers(2))
 	g := CycleGraph(64)
-	c, err := e.Carve(context.Background(), g, 0.5, nil)
+	out, err := e.Run(context.Background(), g, Params{Kind: KindCarve, Eps: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyCarving(g, c, 0.5, -1); err != nil {
+	if err := VerifyCarving(g, out.Carving, 0.5, -1); err != nil {
 		t.Fatal(err)
 	}
 
 	multi := twoComponentGraph(t)
 	for _, name := range []string{"chang-ghaffari", "mpx"} {
-		e := NewEngine(WithWorkers(2), WithEngineAlgorithm(name))
-		c, err := e.Carve(context.Background(), multi, 0.5, &RunOptions{Seed: 4})
+		out, err := e.Run(context.Background(), multi, Params{Algorithm: name, Kind: KindCarve, Eps: 0.5, Seed: 4})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if err := VerifyCarving(multi, c, 0.5, -1); err != nil {
+		if err := VerifyCarving(multi, out.Carving, 0.5, -1); err != nil {
 			t.Fatalf("%s merged carving invalid: %v", name, err)
 		}
 	}

@@ -46,7 +46,7 @@ func main() {
 	fmt.Println("decomposition verified: same-color clusters non-adjacent, clusters connected")
 
 	// The improved variant (Theorem 3.4) trades rounds for diameter.
-	d2, err := strongdecomp.Decompose(g, strongdecomp.WithAlgorithm(strongdecomp.ChangGhaffariImproved))
+	d2, err := strongdecomp.Decompose(g, strongdecomp.WithAlgorithmName("chang-ghaffari-improved"))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,9 +57,9 @@ func main() {
 	// here can be selected with WithAlgorithmName or run via Lookup.
 	fmt.Printf("registered algorithms: %v\n", strongdecomp.Algorithms())
 
-	// For serving workloads, the Engine runs decompositions over a worker
-	// pool with context cancellation: here a batch of three graphs is
-	// decomposed concurrently under a deadline.
+	// For serving workloads, the Engine runs any registered construction
+	// over a worker pool (connected components in parallel) with context
+	// cancellation: here three graphs are decomposed under a deadline.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	engine := strongdecomp.NewEngine(strongdecomp.WithWorkers(4))
@@ -68,13 +68,14 @@ func main() {
 		strongdecomp.GridGraph(32, 32),
 		strongdecomp.BinaryTreeGraph(1023),
 	}
-	results, err := engine.DecomposeBatch(ctx, batch, &strongdecomp.RunOptions{Seed: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
-	for i, r := range results {
+	for i, bg := range batch {
+		out, err := engine.Run(ctx, bg, strongdecomp.Params{Kind: strongdecomp.KindDecompose, Seed: 1 + int64(i)})
+		if err != nil {
+			log.Fatal(err)
+		}
+		r := out.Decomposition
 		fmt.Printf("batch[%d]: %d clusters, %d colors\n", i, r.K, r.Colors)
 	}
 	stats := engine.Stats()
-	fmt.Printf("engine: %d runs, max parallelism %d\n", stats.Runs, stats.MaxParallel)
+	fmt.Printf("engine: %d runs on %d workers\n", stats.Runs, stats.Workers)
 }

@@ -33,16 +33,10 @@ type Spanner struct {
 	CrossEdges int
 }
 
-// BuildSpanner extracts a spanner from the decomposition by the
+// BuildSpannerContext extracts a spanner from the decomposition by the
 // color-by-color template, charging the simulated schedule cost to the
-// meter.
-func BuildSpanner(g *graph.Graph, d *cluster.Decomposition, m *rounds.Meter) (*Spanner, error) {
-	return BuildSpannerContext(context.Background(), g, d, m)
-}
-
-// BuildSpannerContext is BuildSpanner with cancellation: the
-// color-by-color main loop checks ctx between colors. A canceled run
-// fails with an error matching registry.ErrCanceled.
+// meter. The color-by-color main loop checks ctx between colors; a
+// canceled run fails with an error matching registry.ErrCanceled.
 func BuildSpannerContext(ctx context.Context, g *graph.Graph, d *cluster.Decomposition, m *rounds.Meter) (*Spanner, error) {
 	if len(d.Assign) != g.N() {
 		return nil, fmt.Errorf("apps: decomposition size %d vs graph %d", len(d.Assign), g.N())

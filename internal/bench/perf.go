@@ -16,19 +16,10 @@ import (
 	"testing"
 	"time"
 
-	"strongdecomp/internal/cluster"
 	"strongdecomp/internal/graph"
 	"strongdecomp/internal/graphio"
 	"strongdecomp/internal/registry"
 )
-
-// PerfRunner is the execution surface the engine-path cases measure;
-// *strongdecomp.Engine satisfies it (the same shape as service.Runner,
-// redeclared because internal/bench cannot import the root package).
-type PerfRunner interface {
-	Decompose(ctx context.Context, g *graph.Graph, opts *registry.RunOptions) (*cluster.Decomposition, error)
-	Carve(ctx context.Context, g *graph.Graph, eps float64, opts *registry.RunOptions) (*cluster.Carving, error)
-}
 
 // PerfResult is one measured line of the substrate suite.
 type PerfResult struct {
@@ -72,12 +63,12 @@ type perfCase struct {
 }
 
 // PerfSuite measures the substrate paths plus the engine decompose/carve
-// path for every requested algorithm. newRunner builds the engine for one
-// algorithm name (nil skips the engine cases); algos lists the registry
-// names to measure. Short mode uses a fixed small iteration count instead
-// of testing.Benchmark's one-second auto-tuning, so the CI smoke job
-// covers every path in seconds.
-func PerfSuite(newRunner func(algo string) PerfRunner, algos []string, short bool) ([]PerfResult, error) {
+// path for every requested algorithm. r is the engine the engine cases
+// run on (nil skips them); algos lists the registry names to measure.
+// Short mode uses a fixed small iteration count instead of
+// testing.Benchmark's one-second auto-tuning, so the CI smoke job covers
+// every path in seconds.
+func PerfSuite(r registry.Runner, algos []string, short bool) ([]PerfResult, error) {
 	w := CSRWorkloadGraph()
 	var elData, metisData, jsonData bytes.Buffer
 	if err := graphio.Write(&elData, w, graphio.FormatEdgeList); err != nil {
@@ -139,30 +130,16 @@ func PerfSuite(newRunner func(algo string) PerfRunner, algos []string, short boo
 			return nil
 		}},
 	}
-	if newRunner != nil {
-		ctx := context.Background()
+	if r != nil {
 		for _, algo := range algos {
 			if _, err := registry.Lookup(algo); err != nil {
 				return nil, err
 			}
-			e := newRunner(algo)
 			cases = append(cases,
-				perfCase{"engine-decompose/" + algo, w.N(), func(iters int) error {
-					for i := 0; i < iters; i++ {
-						if _, err := e.Decompose(ctx, w, &registry.RunOptions{Seed: 42}); err != nil {
-							return err
-						}
-					}
-					return nil
-				}},
-				perfCase{"engine-carve/" + algo, w.N(), func(iters int) error {
-					for i := 0; i < iters; i++ {
-						if _, err := e.Carve(ctx, w, 0.5, &registry.RunOptions{Seed: 42}); err != nil {
-							return err
-						}
-					}
-					return nil
-				}},
+				perfCase{"engine-decompose/" + algo, w.N(), runnerCase(r, w,
+					registry.Params{Algorithm: algo, Kind: registry.KindDecompose, Seed: 42})},
+				perfCase{"engine-carve/" + algo, w.N(), runnerCase(r, w,
+					registry.Params{Algorithm: algo, Kind: registry.KindCarve, Eps: 0.5, Seed: 42})},
 			)
 		}
 	}
@@ -182,6 +159,18 @@ func PerfSuite(newRunner func(algo string) PerfRunner, algos []string, short boo
 		out = append(out, res)
 	}
 	return out, nil
+}
+
+// runnerCase runs p on g through r once per iteration.
+func runnerCase(r registry.Runner, g *graph.Graph, p registry.Params) func(iters int) error {
+	return func(iters int) error {
+		for i := 0; i < iters; i++ {
+			if _, err := r.Run(context.Background(), g, p); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 }
 
 func parseCase(data []byte, f graphio.Format) func(iters int) error {

@@ -12,7 +12,7 @@
 //   - Theorem 3.2: the diameter-improvement transformation
 //     (ImproveDiameterContext);
 //   - Theorems 3.3/3.4: their instantiations (CarveImproved,
-//     DecomposeImproved) achieving strong diameter O(log² n / ε).
+//     DecomposeImprovedContext) achieving strong diameter O(log² n / ε).
 //
 // All algorithms are deterministic, operate on the subgraph induced by a
 // node subset of a host graph, and charge their distributed cost to an

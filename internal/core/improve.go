@@ -225,13 +225,9 @@ func CarveImprovedContext(ctx context.Context, g *graph.Graph, nodes []int, eps 
 	return ImproveDiameterContext(ctx, g, nodes, eps, CarveRGContext, m)
 }
 
-// DecomposeImproved is Theorem 3.4: a deterministic strong-diameter network
-// decomposition with O(log n) colors and O(log² n) cluster diameter.
-func DecomposeImproved(g *graph.Graph, m *rounds.Meter) (*cluster.Decomposition, error) {
-	return DecomposeImprovedContext(context.Background(), g, m)
-}
-
-// DecomposeImprovedContext is DecomposeImproved with cancellation support.
+// DecomposeImprovedContext is Theorem 3.4: a deterministic strong-diameter
+// network decomposition with O(log n) colors and O(log² n) cluster
+// diameter, with cancellation support.
 func DecomposeImprovedContext(ctx context.Context, g *graph.Graph, m *rounds.Meter) (*cluster.Decomposition, error) {
 	return DecomposeContext(ctx, g, CarveImprovedContext, m)
 }

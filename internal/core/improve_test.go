@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -197,7 +198,7 @@ func TestDecomposeImprovedValid(t *testing.T) {
 	for _, name := range []string{"grid", "gnp", "subdivided", "union"} {
 		g := testGraphs()[name]
 		t.Run(name, func(t *testing.T) {
-			d, err := DecomposeImproved(g, nil)
+			d, err := DecomposeImprovedContext(context.Background(), g, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,8 +6,7 @@ package registry
 // source of request defaults (Normalized), request validation (Validate),
 // and cache identity (the canonical binary encoding behind Key). The
 // facade, the Engine, the serving layer, and the HTTP API all resolve
-// their inputs into a Params and hand it to Run/Exec; the legacy
-// (eps float64, *RunOptions) signatures survive only as thin shims.
+// their inputs into a Params and hand it to Run/Exec or Engine.Run.
 
 import (
 	"context"
@@ -23,8 +22,8 @@ import (
 )
 
 // ErrInvalidParams marks a Params value that cannot be executed (unknown
-// kind, non-finite or out-of-range eps, negative node ids). The serving
-// layer wraps it into its own ErrInvalidRequest.
+// kind, non-finite or out-of-range eps, node ids outside the graph). The
+// serving layer wraps it into its own ErrInvalidRequest.
 var ErrInvalidParams = errors.New("strongdecomp: invalid params")
 
 // Kind selects the operation a Params value describes.
@@ -111,6 +110,23 @@ func (p Params) Validate() error {
 	for i, v := range n.Nodes {
 		if v < 0 {
 			return fmt.Errorf("%w: nodes[%d] = %d is negative", ErrInvalidParams, i, v)
+		}
+	}
+	return nil
+}
+
+// ValidateFor is Validate plus the one check that needs the graph: every
+// Nodes id must name a node of g. Every execution path (ExecMeter and the
+// Engine) calls it before dispatch, so an out-of-range id fails with
+// ErrInvalidParams instead of panicking inside a construction.
+func ValidateFor(g *graph.Graph, p Params) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	n := p.Normalized()
+	for i, v := range n.Nodes {
+		if v >= g.N() {
+			return fmt.Errorf("%w: nodes[%d] = %d outside a %d-node graph", ErrInvalidParams, i, v, g.N())
 		}
 	}
 	return nil
@@ -304,7 +320,7 @@ type Outcome struct {
 }
 
 // Runner executes canonical Params — the v2 execution interface satisfied
-// by the public Engine and by AdaptDecomposer-wrapped registry entries.
+// by the public Engine and by the serving layer's direct registry dispatch.
 // Implementations must be safe for concurrent use.
 type Runner interface {
 	Run(ctx context.Context, g *graph.Graph, p Params) (*Outcome, error)
@@ -323,7 +339,7 @@ func Run(ctx context.Context, g *graph.Graph, p Params) (*Outcome, error) {
 
 // Exec executes p on an already-resolved construction. Metering is driven
 // by p.Meter; use ExecMeter to accumulate into an external meter (the
-// legacy WithMeter path).
+// facade's WithMeter path).
 func Exec(ctx context.Context, d Decomposer, g *graph.Graph, p Params) (*Outcome, error) {
 	p = p.Normalized()
 	var meter *rounds.Meter
@@ -334,11 +350,12 @@ func Exec(ctx context.Context, d Decomposer, g *graph.Graph, p Params) (*Outcome
 }
 
 // ExecMeter is Exec with an explicit meter (which may be nil): the bridge
-// that lets the legacy facade keep its accumulate-into-caller's-Meter
-// semantics while routing defaults and validation through Params.
+// that lets the functional-options facade keep its
+// accumulate-into-caller's-Meter semantics while routing defaults and
+// validation through Params.
 func ExecMeter(ctx context.Context, d Decomposer, g *graph.Graph, p Params, meter *rounds.Meter) (*Outcome, error) {
 	p = p.Normalized()
-	if err := p.Validate(); err != nil {
+	if err := ValidateFor(g, p); err != nil {
 		return nil, err
 	}
 	opts := &RunOptions{Seed: p.Seed, Meter: meter, Nodes: p.Nodes}
@@ -361,15 +378,4 @@ func ExecMeter(ctx context.Context, d Decomposer, g *graph.Graph, p Params, mete
 		out.Rounds = meter.Rounds()
 	}
 	return out, nil
-}
-
-// AdaptDecomposer lifts a Decomposer to the canonical Runner interface —
-// what the serving layer uses for direct registry dispatch when no Engine
-// backend is configured.
-func AdaptDecomposer(d Decomposer) Runner { return decomposerRunner{d} }
-
-type decomposerRunner struct{ d Decomposer }
-
-func (r decomposerRunner) Run(ctx context.Context, g *graph.Graph, p Params) (*Outcome, error) {
-	return Exec(ctx, r.d, g, p)
 }

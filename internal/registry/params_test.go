@@ -209,24 +209,38 @@ func TestRegistryRun(t *testing.T) {
 	}
 }
 
-// TestAdaptDecomposer checks the Decomposer→Runner bridge used for direct
-// registry dispatch.
-func TestAdaptDecomposer(t *testing.T) {
-	stubDecomposer(t, "test-params-adapt")
+// TestValidateForRejectsOutOfRangeNodes pins the graph-dependent half of
+// validation: a Nodes id at or past g.N() is ErrInvalidParams (from
+// ValidateFor and from Exec, before any construction sees it), while ids
+// inside the graph and decompositions (which ignore Nodes) pass.
+func TestValidateForRejectsOutOfRangeNodes(t *testing.T) {
+	stubDecomposer(t, "test-params-nodes")
 	g, err := graph.FromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Lookup("test-params-adapt")
+	d, err := Lookup("test-params-nodes")
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := AdaptDecomposer(d).Run(context.Background(), g, Params{Algorithm: "test-params-adapt", Kind: KindCarve, Eps: 0.5})
-	if err != nil {
-		t.Fatal(err)
+	carve := func(nodes ...int) Params {
+		return Params{Algorithm: "test-params-nodes", Kind: KindCarve, Eps: 0.5, Nodes: nodes}
 	}
-	if out.Carving == nil {
-		t.Fatal("adapter returned no carving")
+	for _, p := range []Params{carve(0, 4), carve(99), carve(3, 1, 7)} {
+		if err := ValidateFor(g, p); !errors.Is(err, ErrInvalidParams) {
+			t.Errorf("ValidateFor(%v) = %v, want ErrInvalidParams", p.Nodes, err)
+		}
+		if _, err := Exec(context.Background(), d, g, p); !errors.Is(err, ErrInvalidParams) {
+			t.Errorf("Exec(%v) = %v, want ErrInvalidParams", p.Nodes, err)
+		}
+	}
+	for _, p := range []Params{carve(0, 3), carve(), {Kind: KindDecompose, Nodes: []int{99}}} {
+		if err := ValidateFor(g, p); err != nil {
+			t.Errorf("ValidateFor(%+v) = %v, want nil", p, err)
+		}
+	}
+	if err := ValidateFor(g, carve(-1)); !errors.Is(err, ErrInvalidParams) {
+		t.Errorf("negative id: ValidateFor = %v, want ErrInvalidParams", err)
 	}
 }
 

@@ -193,10 +193,7 @@ func (s *Service) RunApp(ctx context.Context, app string, req *Request) (*AppRes
 	if err != nil {
 		return nil, err
 	}
-	// Validate the algorithm before creating its stats entry — same
-	// discipline as the decomposition path: caller-supplied names that are
-	// not registered must never reach the stats table or the cache key.
-	if _, err := s.runners.get(p.Algorithm); err != nil {
+	if err := checkAlgorithm(p.Algorithm); err != nil {
 		return nil, err
 	}
 	st := s.stats.app(app)

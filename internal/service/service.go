@@ -15,10 +15,10 @@
 // decomposition drops from O(BFS) to O(1).
 //
 // The package depends only on the internal substrate (graph, cluster,
-// registry, rounds, graphio); the execution backend is injected as a
-// registry.Runner, which both an AdaptDecomposer-wrapped registry entry
-// and the public strongdecomp.Engine satisfy. The facade's NewService
-// wires the Engine in; tests can wire stubs.
+// registry, rounds, graphio); the execution backend is injected as one
+// algorithm-agnostic registry.Runner — the public strongdecomp.Engine, or
+// direct registry dispatch by default. The facade's NewService wires the
+// Engine in; tests can wire stubs.
 package service
 
 import (
@@ -46,18 +46,25 @@ var (
 	ErrUnknownGraph = errors.New("service: unknown graph hash")
 )
 
-// Runner executes canonical Params; *strongdecomp.Engine satisfies it
-// directly and a bare registry.Decomposer is lifted with
-// registry.AdaptDecomposer.
+// Runner executes canonical Params; *strongdecomp.Engine satisfies it.
 type Runner = registry.Runner
 
-// Config parameterizes New. The zero value is serviceable: registry-backed
-// runners, the paper's construction as default algorithm, and default
+// registryRunner is the default backend: direct registry dispatch through
+// registry.Run, with no engine parallelism.
+type registryRunner struct{}
+
+func (registryRunner) Run(ctx context.Context, g *graph.Graph, p registry.Params) (*registry.Outcome, error) {
+	return registry.Run(ctx, g, p)
+}
+
+// Config parameterizes New. The zero value is serviceable: registry
+// dispatch, the paper's construction as default algorithm, and default
 // cache sizes.
 type Config struct {
-	// NewRunner builds the execution backend for an algorithm name. Nil
+	// Runner is the execution backend shared by every algorithm; each
+	// request names its construction in the Params it hands to Run. Nil
 	// means direct registry dispatch (no engine parallelism).
-	NewRunner func(algo string) (Runner, error)
+	Runner Runner
 	// RunnerStats, when non-nil, contributes backend counters (e.g. engine
 	// pool stats) to Stats().Runner.
 	RunnerStats func() map[string]int64
@@ -138,7 +145,6 @@ type ClusterHooks struct {
 // concurrent use — one Service is meant to serve a whole process.
 type Service struct {
 	cfg       Config
-	runners   *runnerTable
 	cache     *resultCache
 	graphs    *graphStore
 	persist   *persistStore // nil when Config.DataDir is empty
@@ -153,14 +159,8 @@ type Service struct {
 // New builds a Service from cfg. It fails only when Config.DataDir is set
 // and the data-directory layout cannot be created.
 func New(cfg Config) (*Service, error) {
-	if cfg.NewRunner == nil {
-		cfg.NewRunner = func(algo string) (Runner, error) {
-			d, err := registry.Lookup(algo)
-			if err != nil {
-				return nil, err
-			}
-			return registry.AdaptDecomposer(d), nil
-		}
+	if cfg.Runner == nil {
+		cfg.Runner = registryRunner{}
 	}
 	if cfg.DefaultAlgorithm == "" {
 		cfg.DefaultAlgorithm = registry.DefaultAlgorithm
@@ -188,7 +188,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	s := &Service{
 		cfg:       cfg,
-		runners:   newRunnerTable(cfg.NewRunner),
 		cache:     newResultCache(cfg.CacheSize),
 		graphs:    newGraphStore(cfg.GraphStoreSize, cfg.GraphStoreBudget),
 		flight:    newFlightGroup[*Result](),
@@ -230,6 +229,15 @@ type Request struct {
 	// callers are waiting on. Negative timeouts are rejected with
 	// ErrInvalidRequest.
 	Timeout time.Duration
+}
+
+// checkAlgorithm rejects unregistered algorithm names before a request
+// touches any per-algorithm state: the stats table is keyed by
+// caller-supplied strings and serialized into /metrics, so unknown names
+// must never be admitted into it (nor reach a cache key or a job).
+func checkAlgorithm(name string) error {
+	_, err := registry.Lookup(name)
+	return err
 }
 
 // params resolves a request into the canonical registry.Params — the
@@ -430,11 +438,7 @@ func (s *Service) do(ctx context.Context, kind registry.Kind, req *Request) (*Re
 	if err != nil {
 		return nil, err
 	}
-	// Validate the algorithm before creating its stats entry: the stats
-	// table is keyed by caller-supplied strings and serialized into
-	// /metrics, so unregistered names must never be admitted into it.
-	runner, err := s.runners.get(p.Algorithm)
-	if err != nil {
+	if err := checkAlgorithm(p.Algorithm); err != nil {
 		return nil, err
 	}
 	st := s.stats.algo(p.Algorithm)
@@ -518,7 +522,7 @@ func (s *Service) do(ctx context.Context, kind registry.Kind, req *Request) (*Re
 				return &served, nil
 			}
 		}
-		out, err := s.compute(runCtx, runner, g, hash, p)
+		out, err := s.compute(runCtx, g, hash, p)
 		if err != nil {
 			return nil, err
 		}
@@ -558,9 +562,9 @@ func (s *Service) do(ctx context.Context, kind registry.Kind, req *Request) (*Re
 
 // compute runs the canonical Params on the backend and packages the
 // result.
-func (s *Service) compute(ctx context.Context, runner Runner, g *graph.Graph, hash string, p registry.Params) (*Result, error) {
+func (s *Service) compute(ctx context.Context, g *graph.Graph, hash string, p registry.Params) (*Result, error) {
 	start := time.Now()
-	o, err := runner.Run(ctx, g, p)
+	o, err := s.cfg.Runner.Run(ctx, g, p)
 	if err != nil {
 		return nil, err
 	}

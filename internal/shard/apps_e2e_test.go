@@ -108,20 +108,25 @@ func TestClusterAppForwardedToOwner(t *testing.T) {
 	}
 
 	// The request must have been served by the owner, one hop away, under
-	// a single trace ID with app spans on the owner side only.
-	ownerTraces := make(map[string]bool)
-	for _, r := range sinks[ownerIdx].spans(t) {
-		ownerTraces[r.TraceID] = true
-	}
+	// a single trace ID with app spans on the owner side only. The
+	// coordinator logs its proxy span (and each shard its route span) only
+	// after relaying the response, so the client can read the body before
+	// they land: wait for the app request's proxy span, and for its route
+	// span on the owner.
 	var shared string
-	for _, r := range sinks[coordIdx].spans(t) {
-		if r.Stage == "proxy" && ownerTraces[r.TraceID] {
-			shared = r.TraceID
+	waitFor(t, "the coordinator's app proxy span and the owner's route span", func() bool {
+		for _, r := range sinks[coordIdx].spans(t) {
+			if r.Stage == "proxy" && r.Path == "/v2/apps/diameter" {
+				shared = r.TraceID
+			}
 		}
-	}
-	if shared == "" {
-		t.Fatal("no proxy span sharing a trace ID with the owner")
-	}
+		for _, r := range sinks[ownerIdx].spans(t) {
+			if shared != "" && r.TraceID == shared && r.Stage == "route" {
+				return true
+			}
+		}
+		return false
+	})
 	ownerStages := make(map[string]int)
 	for _, r := range sinks[ownerIdx].spans(t) {
 		if r.TraceID != shared {

@@ -431,8 +431,13 @@ func TestClusterJobsAcrossShards(t *testing.T) {
 	if job.ID == "" {
 		t.Fatalf("submit answered without a job ID: %s", body)
 	}
-	if _, ok := shards[coord].cluster.jobOwner(job.ID); !ok && coord != owner {
-		t.Fatal("coordinator did not learn the proxied job's owner")
+	// submitJob records the owner after relaying the response, so the
+	// client can see the job ID first.
+	if coord != owner {
+		waitFor(t, "coordinator to learn the proxied job's owner", func() bool {
+			_, ok := shards[coord].cluster.jobOwner(job.ID)
+			return ok
+		})
 	}
 
 	// Poll from the third node (no learned route there: fan-out).

@@ -45,6 +45,7 @@ type spanRecord struct {
 	SpanID  string `json:"span_id"`
 	Hop     int    `json:"hop"`
 	Stage   string `json:"stage"`
+	Path    string `json:"path"`
 }
 
 // spans decodes every "span" record the sink holds.

@@ -84,38 +84,70 @@ func TestParamsEncodingRoundTripFacade(t *testing.T) {
 }
 
 // TestEngineRunParams: the Engine's canonical entry executes Params with
-// the engine's algorithm as default and per-component parallel merge.
+// DefaultAlgorithm as default, the named construction otherwise, and
+// per-component parallel merge.
 func TestEngineRunParams(t *testing.T) {
 	// Two components force the merge path.
 	g, err := NewGraph(8, [][2]int{{0, 1}, {1, 2}, {2, 3}, {4, 5}, {5, 6}, {6, 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(WithEngineAlgorithm("sequential"), WithWorkers(2))
+	e := NewEngine(WithWorkers(2))
 	out, err := e.Run(context.Background(), g, Params{Meter: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Decomposition == nil || len(out.Decomposition.Assign) != 8 {
-		t.Fatal("engine Run returned a malformed decomposition")
-	}
-	if out.Params.Algorithm != "sequential" {
+	if out.Params.Algorithm != DefaultAlgorithm {
 		t.Fatalf("engine default algorithm not applied: %+v", out.Params)
 	}
-	if out.Rounds <= 0 {
-		t.Fatal("metered engine run reports no rounds")
-	}
-	// Engine.Run and the legacy Engine.Decompose shim agree bit for bit.
-	legacy, err := e.Decompose(context.Background(), g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range legacy.Assign {
-		if out.Decomposition.Assign[v] != legacy.Assign[v] {
-			t.Fatalf("Run and Decompose disagree at node %d", v)
+	for _, algo := range []string{DefaultAlgorithm, "sequential"} {
+		out, err := e.Run(context.Background(), g, Params{Algorithm: algo, Meter: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Decomposition == nil || len(out.Decomposition.Assign) != 8 {
+			t.Fatalf("%s: engine Run returned a malformed decomposition", algo)
+		}
+		if out.Params.Algorithm != algo {
+			t.Fatalf("engine ran %q, want %q", out.Params.Algorithm, algo)
+		}
+		if out.Rounds <= 0 {
+			t.Fatalf("%s: metered engine run reports no rounds", algo)
 		}
 	}
 	if _, err := e.Run(context.Background(), g, Params{Kind: KindCarve, Eps: -1}); !errors.Is(err, ErrInvalidParams) {
 		t.Errorf("engine accepted invalid eps: %v", err)
+	}
+}
+
+// TestOutOfRangeNodesRejected: a carving restricted to a node id outside
+// the graph fails with ErrInvalidParams — never an index panic inside the
+// construction — for every registered algorithm and through every entry
+// point: Run, Engine.Run, and BallCarve with WithNodes.
+func TestOutOfRangeNodesRejected(t *testing.T) {
+	g := CycleGraph(8)
+	ctx := context.Background()
+	e := NewEngine(WithWorkers(2))
+	for _, algo := range Algorithms() {
+		for _, nodes := range [][]int{{0, 1, 99}, {8}} {
+			p := Params{Algorithm: algo, Kind: KindCarve, Eps: 0.5, Nodes: nodes}
+			if _, err := Run(ctx, g, p); !errors.Is(err, ErrInvalidParams) {
+				t.Errorf("%s: Run(nodes %v) = %v, want ErrInvalidParams", algo, nodes, err)
+			}
+			if _, err := e.Run(ctx, g, p); !errors.Is(err, ErrInvalidParams) {
+				t.Errorf("%s: Engine.Run(nodes %v) = %v, want ErrInvalidParams", algo, nodes, err)
+			}
+			if _, err := BallCarve(g, 0.5, WithAlgorithmName(algo), WithNodes(nodes)); !errors.Is(err, ErrInvalidParams) {
+				t.Errorf("%s: BallCarve(WithNodes(%v)) = %v, want ErrInvalidParams", algo, nodes, err)
+			}
+		}
+		// The last in-range id still runs.
+		p := Params{Algorithm: algo, Kind: KindCarve, Eps: 0.5, Nodes: []int{6, 7}}
+		if _, err := e.Run(ctx, g, p); err != nil {
+			t.Errorf("%s: in-range nodes rejected: %v", algo, err)
+		}
+	}
+	if _, err := BallCarveEdges(g, 0.5, WithNodes([]int{99})); !errors.Is(err, ErrInvalidParams) {
+		t.Errorf("BallCarveEdges(WithNodes(99)) = %v, want ErrInvalidParams", err)
 	}
 }

@@ -2,7 +2,9 @@ package strongdecomp_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -130,6 +132,52 @@ func TestServiceHTTPRepeatCached(t *testing.T) {
 	}
 	if stats.Runner["runs"] == 0 {
 		t.Fatal("engine counters missing from /metrics")
+	}
+}
+
+// TestServiceOneEngineServesEveryAlgorithm: one NewService computes for
+// several algorithms on a single shared Engine, so the engine's run
+// counter equals the sum of the per-algorithm computes (connected graphs:
+// one engine run per compute), and there is no per-algorithm engine
+// count left. An unknown name fails without reaching the stats table.
+func TestServiceOneEngineServesEveryAlgorithm(t *testing.T) {
+	svc := mustService(t, strongdecomp.WithServiceWorkers(2))
+	defer svc.Close()
+	ctx := context.Background()
+	algos := []string{"chang-ghaffari", "mpx"}
+	for _, algo := range algos {
+		for seed := int64(1); seed <= 2; seed++ {
+			req := &strongdecomp.ServiceRequest{Graph: strongdecomp.PathGraph(16), Algo: algo, Seed: seed}
+			if _, err := svc.Decompose(ctx, req); err != nil {
+				t.Fatalf("%s: %v", algo, err)
+			}
+		}
+	}
+	req := &strongdecomp.ServiceRequest{Graph: strongdecomp.PathGraph(16), Algo: "no-such-algo"}
+	if _, err := svc.Decompose(ctx, req); !errors.Is(err, strongdecomp.ErrUnknownAlgorithm) {
+		t.Fatalf("unknown algorithm: err = %v, want ErrUnknownAlgorithm", err)
+	}
+
+	st := svc.Stats()
+	var computes int64
+	for _, algo := range algos {
+		c := st.Algorithms[algo].Computes
+		if c != 2 {
+			t.Errorf("%s: computes = %d, want 2", algo, c)
+		}
+		computes += c
+	}
+	if got := st.Runner["runs"]; got != computes {
+		t.Fatalf("Runner[runs] = %d, want the %d computes of both algorithms", got, computes)
+	}
+	if st.Runner["workers"] != 2 {
+		t.Errorf("Runner[workers] = %d, want 2", st.Runner["workers"])
+	}
+	if _, ok := st.Runner["engines"]; ok {
+		t.Error("Runner still reports a per-algorithm engine count")
+	}
+	if _, polluted := st.Algorithms["no-such-algo"]; polluted {
+		t.Error("unregistered algorithm name admitted into the stats table")
 	}
 }
 
