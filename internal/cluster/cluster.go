@@ -18,6 +18,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"strongdecomp/internal/graph"
 )
@@ -25,106 +26,113 @@ import (
 // Unclustered marks a node that belongs to no cluster (dead/removed).
 const Unclustered = -1
 
-// Tree is a Steiner tree over the host graph: Parent maps each tree node to
-// its parent (the root maps to -1). Tree nodes may include relay nodes that
-// are not cluster members; that is exactly what makes a cluster's diameter
-// "weak".
+// Tree is a Steiner tree over the host graph, stored flat: Nodes lists the
+// tree nodes in insertion order, root first and every parent before its
+// children, and Parents[i] and Depths[i] are Nodes[i]'s parent (-1 for the
+// root) and hop distance to the root. Tree nodes may include relay nodes
+// that are not cluster members; that is exactly what makes a cluster's
+// diameter "weak".
 type Tree struct {
-	Root   int
-	Parent map[int]int
+	Root    int
+	Nodes   []int
+	Parents []int
+	Depths  []int
 }
 
 // NewTree returns a tree containing only the root.
 func NewTree(root int) *Tree {
-	return &Tree{Root: root, Parent: map[int]int{root: -1}}
+	return &Tree{Root: root, Nodes: []int{root}, Parents: []int{-1}, Depths: []int{0}}
 }
 
-// Add attaches node v with parent p. The parent must already be in the tree.
-func (t *Tree) Add(v, p int) error {
-	if _, ok := t.Parent[p]; !ok {
-		return fmt.Errorf("cluster: tree parent %d not in tree", p)
-	}
-	if _, ok := t.Parent[v]; ok {
-		return nil // already present; keep the first attachment
-	}
-	t.Parent[v] = p
-	return nil
-}
-
-// Has reports whether v is a tree node (member or relay).
-func (t *Tree) Has(v int) bool {
-	_, ok := t.Parent[v]
-	return ok
+// Append attaches node v under parent at the given depth. It does not
+// look anything up: the caller guarantees that parent is already in the
+// tree at depth-1 and that v is not (Validate checks both).
+func (t *Tree) Append(v, parent, depth int) {
+	t.Nodes = append(t.Nodes, v)
+	t.Parents = append(t.Parents, parent)
+	t.Depths = append(t.Depths, depth)
 }
 
 // Depth returns the maximum root-to-node hop distance in the tree.
 func (t *Tree) Depth() int {
-	depth := make(map[int]int, len(t.Parent))
-	var walk func(v int) int
-	walk = func(v int) int {
-		if v == t.Root {
-			return 0
-		}
-		if d, ok := depth[v]; ok {
-			return d
-		}
-		d := walk(t.Parent[v]) + 1
-		depth[v] = d
-		return d
-	}
 	max := 0
-	for v := range t.Parent {
-		if d := walk(v); d > max {
+	for _, d := range t.Depths {
+		if d > max {
 			max = d
 		}
 	}
 	return max
 }
 
-// DepthOf returns the hop distance from v to the root along parent pointers,
-// or -1 if v is not in the tree or the walk does not terminate.
-func (t *Tree) DepthOf(v int) int {
-	if _, ok := t.Parent[v]; !ok {
-		return -1
-	}
-	d := 0
-	for u := v; u != t.Root; u = t.Parent[u] {
-		d++
-		if d > len(t.Parent) {
-			return -1
-		}
-	}
-	return d
-}
-
-// Validate checks that the tree's edges exist in g and that every node
-// reaches the root.
+// Validate checks the flat layout and the tree's edges against g: the
+// root comes first with parent -1 and depth 0, node ids are in range and
+// distinct, every parent precedes its child, every depth is its parent's
+// plus one, and every tree edge exists in g.
 func (t *Tree) Validate(g *graph.Graph) error {
-	for v, p := range t.Parent {
-		if v == t.Root {
-			if p != -1 {
-				return fmt.Errorf("cluster: root %d has parent %d", v, p)
-			}
-			continue
-		}
-		if p < 0 || !g.HasEdge(v, p) {
-			return fmt.Errorf("cluster: tree edge (%d,%d) not in graph", v, p)
-		}
+	n := len(t.Nodes)
+	if n == 0 || len(t.Parents) != n || len(t.Depths) != n {
+		return fmt.Errorf("cluster: tree has %d nodes, %d parents, %d depths", n, len(t.Parents), len(t.Depths))
 	}
-	// Reachability: every node must reach the root without cycles.
-	for v := range t.Parent {
-		seen := 0
-		for u := v; u != t.Root; u = t.Parent[u] {
-			seen++
-			if seen > len(t.Parent) {
-				return fmt.Errorf("cluster: cycle in tree at %d", v)
+	if t.Nodes[0] != t.Root || t.Parents[0] != -1 || t.Depths[0] != 0 {
+		return fmt.Errorf("cluster: tree root %d is not first with parent -1 and depth 0", t.Root)
+	}
+	depth := make(map[int]int, n)
+	for i, v := range t.Nodes {
+		if v < 0 || v >= g.N() {
+			return fmt.Errorf("cluster: tree node %d out of range", v)
+		}
+		if _, dup := depth[v]; dup {
+			return fmt.Errorf("cluster: tree node %d appears twice", v)
+		}
+		if i > 0 {
+			p := t.Parents[i]
+			pd, ok := depth[p]
+			if !ok {
+				return fmt.Errorf("cluster: parent %d of tree node %d does not precede it", p, v)
 			}
-			if _, ok := t.Parent[u]; !ok {
-				return fmt.Errorf("cluster: dangling tree node %d", u)
+			if t.Depths[i] != pd+1 {
+				return fmt.Errorf("cluster: tree node %d has depth %d under a parent at depth %d", v, t.Depths[i], pd)
+			}
+			if !g.HasEdge(v, p) {
+				return fmt.Errorf("cluster: tree edge (%d,%d) not in graph", v, p)
 			}
 		}
+		depth[v] = t.Depths[i]
 	}
 	return nil
+}
+
+// TreeFromParents builds a flat tree from a root and a child-to-parent map
+// (the root may map to -1 or be absent), ordering the nodes from the root
+// outward — by depth, then by id — so the result does not depend on map
+// iteration order. A map with a cycle, a second root or a node whose
+// parent chain leaves the map is rejected.
+func TreeFromParents(root int, parent map[int]int) (*Tree, error) {
+	if p, ok := parent[root]; ok && p != -1 {
+		return nil, fmt.Errorf("cluster: tree root %d has parent %d", root, p)
+	}
+	var rest []int
+	for v := range parent {
+		if v != root {
+			rest = append(rest, v)
+		}
+	}
+	slices.Sort(rest)
+	children := make(map[int][]int, len(rest))
+	for _, v := range rest {
+		children[parent[v]] = append(children[parent[v]], v)
+	}
+	t := NewTree(root)
+	for i := 0; i < len(t.Nodes); i++ {
+		for _, c := range children[t.Nodes[i]] {
+			t.Append(c, t.Nodes[i], t.Depths[i]+1)
+		}
+	}
+	if len(t.Nodes) != len(rest)+1 {
+		return nil, fmt.Errorf("cluster: %d of %d tree nodes never reach root %d (a cycle or a dangling parent)",
+			len(rest)+1-len(t.Nodes), len(rest)+1, root)
+	}
+	return t, nil
 }
 
 // Carving is the result of a ball-carving algorithm on a host graph: an

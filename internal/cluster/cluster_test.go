@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
 	"strongdecomp/internal/graph"
@@ -9,12 +10,8 @@ import (
 func TestTreeDepthAndValidate(t *testing.T) {
 	g := graph.Path(5)
 	tr := NewTree(0)
-	if err := tr.Add(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Add(2, 1); err != nil {
-		t.Fatal(err)
-	}
+	tr.Append(1, 0, 1)
+	tr.Append(2, 1, 2)
 	if d := tr.Depth(); d != 2 {
 		t.Fatalf("depth = %d, want 2", d)
 	}
@@ -23,32 +20,40 @@ func TestTreeDepthAndValidate(t *testing.T) {
 	}
 }
 
-func TestTreeAddRequiresParent(t *testing.T) {
+func TestTreeValidateRejectsParentAfterChild(t *testing.T) {
+	g := graph.Path(5)
 	tr := NewTree(0)
-	if err := tr.Add(2, 1); err == nil {
-		t.Fatal("attached to absent parent")
+	tr.Append(2, 1, 2) // parent 1 is appended only afterwards
+	tr.Append(1, 0, 1)
+	if err := tr.Validate(g); err == nil {
+		t.Fatal("child before its parent accepted")
 	}
 }
 
-func TestTreeAddIdempotent(t *testing.T) {
+func TestTreeValidateRejectsDuplicateNode(t *testing.T) {
+	g := graph.Path(5)
 	tr := NewTree(0)
-	if err := tr.Add(1, 0); err != nil {
-		t.Fatal(err)
+	tr.Append(1, 0, 1)
+	tr.Append(1, 0, 1)
+	if err := tr.Validate(g); err == nil {
+		t.Fatal("node attached twice accepted")
 	}
-	// Second attachment of the same node is a no-op, keeping the original
-	// parent (trees never rewire).
-	if err := tr.Add(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Parent) != 2 {
-		t.Fatalf("tree has %d nodes", len(tr.Parent))
+}
+
+func TestTreeValidateRejectsBadDepth(t *testing.T) {
+	g := graph.Path(5)
+	tr := NewTree(0)
+	tr.Append(1, 0, 1)
+	tr.Append(2, 1, 3)
+	if err := tr.Validate(g); err == nil {
+		t.Fatal("depth inconsistent with the parent's accepted")
 	}
 }
 
 func TestTreeValidateRejectsNonEdges(t *testing.T) {
 	g := graph.Path(5)
 	tr := NewTree(0)
-	tr.Parent[3] = 0 // 0-3 is not an edge of the path
+	tr.Append(3, 0, 1) // 0-3 is not an edge of the path
 	if err := tr.Validate(g); err == nil {
 		t.Fatal("non-edge accepted")
 	}
@@ -57,10 +62,48 @@ func TestTreeValidateRejectsNonEdges(t *testing.T) {
 func TestTreeValidateRejectsBadRoot(t *testing.T) {
 	g := graph.Path(3)
 	tr := NewTree(0)
-	tr.Parent[0] = 1
-	tr.Parent[1] = 0
+	tr.Append(1, 0, 1)
+	tr.Parents[0] = 1
 	if err := tr.Validate(g); err == nil {
 		t.Fatal("root with parent accepted")
+	}
+}
+
+func TestTreeFromParents(t *testing.T) {
+	g := graph.Grid(3, 3)
+	// Root 4 (the grid's center) with children 1, 3, 5, 7 and leaves
+	// under them; listed in an order that is not root-outward.
+	parent := map[int]int{8: 5, 0: 1, 4: -1, 7: 4, 1: 4, 5: 4, 3: 4, 2: 1}
+	tr, err := TreeFromParents(4, parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Validate(g); err != nil {
+		t.Fatal(err)
+	}
+	wantNodes := []int{4, 1, 3, 5, 7, 0, 2, 8}
+	if !slices.Equal(tr.Nodes, wantNodes) {
+		t.Fatalf("nodes %v, want root-outward by depth then id %v", tr.Nodes, wantNodes)
+	}
+	if d := tr.Depth(); d != 2 {
+		t.Fatalf("depth %d, want 2", d)
+	}
+	// The root entry may be absent.
+	delete(parent, 4)
+	if tr2, err := TreeFromParents(4, parent); err != nil || !slices.Equal(tr2.Nodes, wantNodes) {
+		t.Fatalf("implicit root: %v, %v", tr2, err)
+	}
+
+	bad := map[string]map[int]int{
+		"cycle":       {4: -1, 1: 2, 2: 1},
+		"dangling":    {4: -1, 1: 4, 2: 6},
+		"second-root": {4: -1, 1: -1},
+		"root-parent": {4: 1, 1: 4},
+	}
+	for name, parent := range bad {
+		if _, err := TreeFromParents(4, parent); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 
@@ -162,12 +205,8 @@ func TestCheckWeakCarving(t *testing.T) {
 	// Cycle of 6: cluster {0, 2} with Steiner relay 1, cluster {4}.
 	g := graph.Cycle(6)
 	tr0 := NewTree(0)
-	if err := tr0.Add(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr0.Add(2, 1); err != nil {
-		t.Fatal(err)
-	}
+	tr0.Append(1, 0, 1)
+	tr0.Append(2, 1, 2)
 	tr1 := NewTree(4)
 	c := &Carving{
 		Assign: []int{0, Unclustered, 0, Unclustered, 1, Unclustered},
@@ -198,16 +237,10 @@ func TestCheckWeakCarvingCongestion(t *testing.T) {
 	// 0 -> 1, tree B is 2 -> 1 -> 0.
 	g := graph.Path(3)
 	trA := NewTree(0)
-	if err := trA.Add(1, 0); err != nil {
-		t.Fatal(err)
-	}
+	trA.Append(1, 0, 1)
 	trB := NewTree(2)
-	if err := trB.Add(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := trB.Add(0, 1); err != nil {
-		t.Fatal(err)
-	}
+	trB.Append(1, 2, 1)
+	trB.Append(0, 1, 2)
 	c := &Carving{
 		Assign: []int{0, Unclustered, 1},
 		K:      2,

@@ -92,25 +92,29 @@ func CheckWeakCarving(g *graph.Graph, alive []bool, c *Carving, eps float64, max
 		if err := t.Validate(g); err != nil {
 			return fmt.Errorf("weak carving: cluster %d: %w", cl, err)
 		}
-		for _, v := range members[cl] {
-			if !t.Has(v) {
-				return fmt.Errorf("weak carving: member %d of cluster %d not in tree", v, cl)
-			}
-		}
 		if maxDepth >= 0 {
 			if d := t.Depth(); d > maxDepth {
 				return fmt.Errorf("weak carving: cluster %d tree depth %d exceeds %d", cl, d, maxDepth)
 			}
 		}
-		for v, p := range t.Parent {
-			if p == -1 {
+		// One pass over the tree: Validate guarantees distinct in-range
+		// nodes, so counting members among them checks coverage.
+		inTree := 0
+		for i, v := range t.Nodes {
+			if c.Assign[v] == cl {
+				inTree++
+			}
+			if i == 0 {
 				continue
 			}
-			u, w := v, p
+			u, w := v, t.Parents[i]
 			if u > w {
 				u, w = w, u
 			}
 			congestion[[2]int{u, w}]++
+		}
+		if inTree != len(members[cl]) {
+			return fmt.Errorf("weak carving: %d of %d members of cluster %d not in tree", len(members[cl])-inTree, len(members[cl]), cl)
 		}
 	}
 	if maxCongestion >= 0 {

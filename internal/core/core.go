@@ -190,7 +190,7 @@ func StrongCarveContext(ctx context.Context, g *graph.Graph, nodes []int, eps fl
 		// Case (II): grow a ball from the giant cluster's tree root inside
 		// G[S]; A's removals are NOT committed (the ball may swallow them).
 		root := weakCarving.Centers[giant]
-		depthR := memberTreeDepth(weakCarving.Trees[giant], members[giant])
+		depthR := memberTreeDepth(weakCarving.Trees[giant], weakCarving.Assign, giant)
 		sizes := graph.NeighborhoodSizes(g, sMask, []int{root}, dist)
 		maxLayer := len(sizes) - 1
 		rStart := depthR
@@ -313,17 +313,19 @@ func DecomposeRGContext(ctx context.Context, g *graph.Graph, m *rounds.Meter) (*
 	return DecomposeContext(ctx, g, CarveRGContext, m)
 }
 
-// memberTreeDepth returns the maximum tree depth over the given members
-// (relay-only nodes deeper than every member do not matter for covering the
-// cluster).
-func memberTreeDepth(t *cluster.Tree, members []int) int {
+// memberTreeDepth returns the maximum tree depth over the members of
+// cluster cl (relay-only nodes deeper than every member do not matter for
+// covering the cluster), in one pass over the tree's flat node list.
+//
+//sdlint:hotpath
+func memberTreeDepth(t *cluster.Tree, assign []int, cl int) int {
 	if t == nil {
 		return 0
 	}
 	max := 0
-	for _, v := range members {
-		if d := t.DepthOf(v); d > max {
-			max = d
+	for i, v := range t.Nodes {
+		if assign[v] == cl && t.Depths[i] > max {
+			max = t.Depths[i]
 		}
 	}
 	return max

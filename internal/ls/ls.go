@@ -130,11 +130,12 @@ func carveOnce(g *graph.Graph, nodes []int, p float64, rng *rand.Rand, m *rounds
 	}
 	sort.Ints(centers)
 	trees := make([]*cluster.Tree, len(centers))
+	mark := make([]bool, n)
 	for i, u := range centers {
 		for _, v := range members[u] {
 			assign[v] = i
 		}
-		trees[i] = steinerTree(g, inS, u, members[u])
+		trees[i] = steinerTree(g, inS, u, members[u], mark)
 	}
 	return &cluster.Carving{Assign: assign, K: len(centers), Centers: centers, Trees: trees}
 }
@@ -228,24 +229,29 @@ func truncatedBFS(g *graph.Graph, inS []bool, src, limit int, dist []int) []int 
 	return queue
 }
 
-// steinerTree builds the BFS tree from center u restricted to inS, truncated
-// to the paths reaching members (relays along those paths stay in the tree).
-func steinerTree(g *graph.Graph, inS []bool, u int, members []int) *cluster.Tree {
+// steinerTree builds the BFS tree from center u restricted to inS,
+// truncated to the paths reaching members (relays along those paths stay in
+// the tree). mark is all-false scratch of length g.N(); it marks the tree
+// nodes while the tree is built and is all-false again on return.
+func steinerTree(g *graph.Graph, inS []bool, u int, members []int, mark []bool) *cluster.Tree {
 	dist, parent := graph.BFSTree(g, inS, u)
-	_ = dist
 	t := cluster.NewTree(u)
-	var attach func(v int)
-	attach = func(v int) {
-		if t.Has(v) || v == u {
-			return
+	mark[u] = true
+	var path []int
+	for _, v := range members {
+		// Climb to the first node already in the tree, then append the
+		// path top-down so every parent precedes its child.
+		path = path[:0]
+		for w := v; !mark[w]; w = parent[w] {
+			mark[w] = true
+			path = append(path, w)
 		}
-		attach(parent[v])
-		if err := t.Add(v, parent[v]); err != nil {
-			panic(fmt.Sprintf("ls: steiner tree: %v", err))
+		for i := len(path) - 1; i >= 0; i-- {
+			t.Append(path[i], parent[path[i]], dist[path[i]])
 		}
 	}
-	for _, v := range members {
-		attach(v)
+	for _, v := range t.Nodes {
+		mark[v] = false
 	}
 	return t
 }

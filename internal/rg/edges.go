@@ -66,10 +66,13 @@ type edgeState struct {
 	b     int
 	delta float64
 
+	nodes    []int // the carved set S; every cluster label is one of these
 	inS      []bool
 	label    []int
+	depth    []int // node's depth in its current cluster's tree
 	cut      map[[2]int]bool
-	clusters map[int]*edgeClusterInfo
+	clusters []edgeClusterInfo // indexed by label; meaningful only for labels in S
+	log      treeLog           // every tree attachment, in order
 
 	activeBlue []int
 	inActive   []bool
@@ -96,11 +99,11 @@ type edgeState struct {
 	joinIdx  []int
 }
 
+// edgeClusterInfo is the per-cluster growth state, indexed by label like
+// the node version's clusterInfo; the trees go to the state's treeLog and
+// member depths to its node-indexed depth slice.
 type edgeClusterInfo struct {
-	label    int
 	vol      int // degree sum of members in the remaining subgraph
-	tree     *cluster.Tree
-	depth    map[int]int
 	maxDepth int
 	retired  bool
 }
@@ -111,10 +114,12 @@ func newEdgeState(g *graph.Graph, nodes []int, eps float64) *edgeState {
 		g:         g,
 		b:         labelBits(n),
 		delta:     eps / (4 * float64(labelBits(n))),
+		nodes:     nodes,
 		inS:       make([]bool, n),
 		label:     make([]int, n),
+		depth:     make([]int, n),
 		cut:       make(map[[2]int]bool),
-		clusters:  make(map[int]*edgeClusterInfo, len(nodes)),
+		clusters:  make([]edgeClusterInfo, n),
 		inActive:  make([]bool, n),
 		propCount: make([]int, n),
 		slot:      make([]int, n),
@@ -129,12 +134,7 @@ func newEdgeState(g *graph.Graph, nodes []int, eps float64) *edgeState {
 		st.label[v] = v
 	}
 	for _, v := range nodes {
-		st.clusters[v] = &edgeClusterInfo{
-			label: v,
-			vol:   st.degreeIn(v),
-			tree:  cluster.NewTree(v),
-			depth: map[int]int{v: 0},
-		}
+		st.clusters[v].vol = st.degreeIn(v)
 	}
 	return st
 }
@@ -170,8 +170,8 @@ func (st *edgeState) cutEdge(u, v int) {
 }
 
 func (st *edgeState) runPhase(phase int, m *rounds.Meter) {
-	for _, c := range st.clusters {
-		c.retired = false
+	for _, l := range st.nodes {
+		st.clusters[l].retired = false
 	}
 	st.seedActiveBlue(phase)
 	for {
@@ -182,9 +182,9 @@ func (st *edgeState) runPhase(phase int, m *rounds.Meter) {
 		st.resolveProposals(m)
 	}
 	depth := 0
-	for _, c := range st.clusters {
-		if c.maxDepth > depth {
-			depth = c.maxDepth
+	for _, l := range st.nodes {
+		if d := st.clusters[l].maxDepth; d > depth {
+			depth = d
 		}
 	}
 	m.Charge("rg/congestion", int64(depth+1)*int64(phase+1))
@@ -236,16 +236,17 @@ type edgeProposal struct {
 	edges  int
 }
 
-// collectProposals computes this step's proposals in deterministic order:
-// every live blue candidate proposes to EVERY adjacent live red cluster
-// (see edgeProposal), its uncut edges into each target merged into one
+// collectProposals computes this step's proposals: every live blue
+// candidate proposes to EVERY adjacent live red cluster (see
+// edgeProposal), its uncut edges into each target merged into one
 // proposal during the neighbor scan via the slot cursor. The proposals
 // are bucketed by target into the reusable grouped/propLabels scratch
 // (counting scatter — no per-step map) and their count is returned.
+// activeBlue is not sorted: decisions are taken on per-cluster totals and
+// joins are applied in node order, so proposer order changes nothing.
 //
 //sdlint:hotpath
 func (st *edgeState) collectProposals(phase int) int {
-	sort.Ints(st.activeBlue)
 	kept := st.activeBlue[:0]
 	st.props = st.props[:0]
 	for _, v := range st.activeBlue {
@@ -292,9 +293,8 @@ func (st *edgeState) collectProposals(phase int) int {
 
 // groupProposals buckets st.props by target label into st.grouped:
 // distinct labels sorted in st.propLabels, group i ending at
-// st.propEnds[i], proposals within a group in blue-node order (the
-// order the former per-label map append produced). propCount is used as
-// the counting/cursor array and left zeroed.
+// st.propEnds[i], proposals within a group in activeBlue order. propCount
+// is used as the counting/cursor array and left zeroed.
 //
 //sdlint:hotpath
 func (st *edgeState) groupProposals() {
@@ -342,7 +342,7 @@ func (st *edgeState) resolveProposals(m *rounds.Meter) {
 	// Simultaneous accept/retire decisions against this step's proposals.
 	start := 0
 	for i, l := range st.propLabels {
-		x := st.clusters[l]
+		x := &st.clusters[l]
 		edgeCount := 0
 		for _, p := range st.grouped[start:st.propEnds[i]] {
 			edgeCount += p.edges
@@ -391,8 +391,7 @@ func (st *edgeState) resolveProposals(m *rounds.Meter) {
 	// Apply joins in deterministic node order.
 	sort.Ints(st.joiners)
 	for _, v := range st.joiners {
-		p := st.grouped[st.joinIdx[v]-1]
-		st.join(st.clusters[p.target], p)
+		st.join(st.grouped[st.joinIdx[v]-1])
 	}
 	// Reset the per-step scratch masks.
 	for _, v := range st.joiners {
@@ -403,24 +402,24 @@ func (st *edgeState) resolveProposals(m *rounds.Meter) {
 	}
 }
 
-func (st *edgeState) join(x *edgeClusterInfo, p edgeProposal) {
-	v := p.node
-	if st.label[v] == x.label {
-		return
+// join moves proposer p.node into its target cluster and logs its
+// attachment to the target's tree under the proposal edge (a node never
+// rejoins a tree it left, as in the node version).
+func (st *edgeState) join(p edgeProposal) {
+	v, l := p.node, p.target
+	if st.label[p.via] != l {
+		panic(fmt.Sprintf("rg: edge tree invariant broken: via %d of %d is not in cluster %d", p.via, v, l))
 	}
-	old := st.clusters[st.label[v]]
+	x := &st.clusters[l]
 	dv := st.degreeIn(v)
-	old.vol -= dv
-	st.label[v] = x.label
+	st.clusters[st.label[v]].vol -= dv
+	st.label[v] = l
 	x.vol += dv
-	if err := x.tree.Add(v, p.via); err != nil {
-		panic(fmt.Sprintf("rg: edge tree invariant broken: %v", err))
-	}
-	if d, ok := x.depth[v]; !ok || d > x.depth[p.via]+1 {
-		x.depth[v] = x.depth[p.via] + 1
-	}
-	if x.depth[v] > x.maxDepth {
-		x.maxDepth = x.depth[v]
+	d := st.depth[p.via] + 1
+	st.depth[v] = d
+	st.log.add(treeEntry{label: l, node: v, parent: p.via, depth: d})
+	if d > x.maxDepth {
+		x.maxDepth = d
 	}
 	for _, w := range st.g.Neighbors(v) {
 		if st.inS[w] && !st.isCut(v, w) {
@@ -434,24 +433,21 @@ func (st *edgeState) result() *EdgeCarving {
 	for v := range assign {
 		assign[v] = cluster.Unclustered
 	}
-	var labels []int
-	counts := make(map[int]int)
+	// Labels are node ids, so ascending slice order is sorted label order.
+	counts := make([]int, len(st.label))
 	for v, ok := range st.inS {
 		if ok {
 			counts[st.label[v]]++
 		}
 	}
-	for l := range counts {
-		labels = append(labels, l)
-	}
-	sort.Ints(labels)
-	id := make(map[int]int, len(labels))
-	centers := make([]int, len(labels))
-	trees := make([]*cluster.Tree, len(labels))
-	for i, l := range labels {
-		id[l] = i
-		centers[i] = st.clusters[l].tree.Root
-		trees[i] = st.clusters[l].tree
+	id := make([]int, len(counts))
+	var centers []int
+	for l, c := range counts {
+		id[l] = -1
+		if c > 0 {
+			id[l] = len(centers)
+			centers = append(centers, l)
+		}
 	}
 	for v, ok := range st.inS {
 		if ok {
@@ -469,7 +465,7 @@ func (st *edgeState) result() *EdgeCarving {
 		return cut[i][1] < cut[j][1]
 	})
 	return &EdgeCarving{
-		Carving: &cluster.Carving{Assign: assign, K: len(labels), Centers: centers, Trees: trees},
+		Carving: &cluster.Carving{Assign: assign, K: len(centers), Centers: centers, Trees: st.log.trees(centers, id)},
 		Cut:     cut,
 	}
 }

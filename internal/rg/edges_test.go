@@ -23,6 +23,7 @@ func checkEdgeInvariants(t *testing.T, g *graph.Graph, eps float64) *EdgeCarving
 		// the "disconnected" failure and re-check the rest by hand.
 		t.Fatalf("eps=%v: %v", eps, err)
 	}
+	inOwnTree := make([]bool, g.N())
 	for cl, tr := range ec.Carving.Trees {
 		if tr == nil {
 			t.Fatalf("cluster %d missing tree", cl)
@@ -30,12 +31,17 @@ func checkEdgeInvariants(t *testing.T, g *graph.Graph, eps float64) *EdgeCarving
 		if err := tr.Validate(g); err != nil {
 			t.Fatalf("cluster %d: %v", cl, err)
 		}
+		for _, v := range tr.Nodes {
+			if ec.Carving.Assign[v] == cl {
+				inOwnTree[v] = true
+			}
+		}
 	}
 	for v, cl := range ec.Carving.Assign {
 		if cl == cluster.Unclustered {
 			t.Fatalf("edge version killed node %d", v)
 		}
-		if !ec.Carving.Trees[cl].Has(v) {
+		if !inOwnTree[v] {
 			t.Fatalf("member %d of cluster %d not in tree", v, cl)
 		}
 	}

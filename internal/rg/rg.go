@@ -90,16 +90,15 @@ type proposal struct {
 
 // clusterInfo is the per-cluster growth state. Labels are node ids, so the
 // state stores these as one flat slice indexed by label instead of a
-// map[int]*clusterInfo — no per-node allocation. The Steiner tree and depth
-// table are nil until the cluster's first acceptance: a nil tree means "the
-// singleton tree rooted at the label" and a nil depth table means
-// "{root: 0}", which is what the overwhelming majority of clusters (they
-// retire without ever growing) would otherwise allocate eagerly.
+// map[int]*clusterInfo — no per-node allocation. The Steiner trees are not
+// here: every attachment goes to the state's carving-wide treeLog, and the
+// trees are cut out of it once the carving is done. Member depths are not
+// here either: a node is in exactly one cluster at a time, and its depth
+// in that cluster's tree, kept in the state's node-indexed depth slice, is
+// all that growth reads. A relay that leaves keeps its entry in the log.
 type clusterInfo struct {
 	size     int // live members
-	tree     *cluster.Tree
-	depth    map[int]int
-	maxDepth int
+	maxDepth int // depth of the cluster's tree, kept incrementally
 	retired  bool
 }
 
@@ -112,7 +111,9 @@ type state struct {
 	inS      []bool
 	alive    []bool
 	label    []int         // current cluster label, -1 for dead / outside S
+	depth    []int         // node's depth in its current cluster's tree
 	clusters []clusterInfo // indexed by label; meaningful only for labels in S
+	log      treeLog       // every tree attachment, in order
 
 	activeBlue []int  // candidate proposers, maintained incrementally
 	inActive   []bool // membership mask for activeBlue
@@ -139,6 +140,7 @@ func newState(g *graph.Graph, nodes []int, eps float64) *state {
 		inS:       make([]bool, n),
 		alive:     make([]bool, n),
 		label:     make([]int, n),
+		depth:     make([]int, n),
 		clusters:  make([]clusterInfo, n),
 		inActive:  make([]bool, n),
 		propCount: make([]int, n),
@@ -153,15 +155,6 @@ func newState(g *graph.Graph, nodes []int, eps float64) *state {
 		st.clusters[v].size = 1
 	}
 	return st
-}
-
-// ensureTree materializes x's Steiner tree and depth table on first growth;
-// l is x's label (and tree root).
-func (st *state) ensureTree(x *clusterInfo, l int) {
-	if x.tree == nil {
-		x.tree = cluster.NewTree(l)
-		x.depth = map[int]int{l: 0}
-	}
 }
 
 func bit(x, i int) int { return (x >> i) & 1 }
@@ -245,15 +238,20 @@ func (st *state) addActive(v int) {
 	}
 }
 
-// collectProposals computes this step's proposals in deterministic order:
-// every live blue candidate proposes to the smallest-label non-retired red
-// cluster among its neighbors, through its smallest-id member neighbor. The
-// proposals are bucketed by label into the reusable grouped/propLabels
-// scratch (counting scatter — no per-step map) and their count is returned.
+// collectProposals computes this step's proposals: every live blue
+// candidate proposes to the smallest-label non-retired red cluster among
+// its neighbors, through its smallest-id member neighbor. The proposals
+// are bucketed by label into the reusable grouped/propLabels scratch
+// (counting scatter — no per-step map) and their count is returned.
+//
+// activeBlue is not sorted. Each blue node makes one proposal, so it is in
+// exactly one group, and a red cluster's size changes only through its own
+// group within a step; every accept/retire decision, kill, label and depth
+// is therefore the same in any proposer order. The order only decides the
+// order in which a step's joiners enter their tree's node list.
 //
 //sdlint:hotpath
 func (st *state) collectProposals(phase int) int {
-	slices.Sort(st.activeBlue)
 	kept := st.activeBlue[:0]
 	st.props = st.props[:0]
 	for _, v := range st.activeBlue {
@@ -291,8 +289,8 @@ func (st *state) collectProposals(phase int) int {
 
 // groupProposals buckets st.props by label into st.grouped: distinct labels
 // sorted in st.propLabels, group i ending at st.propEnds[i], proposals
-// within a group in blue-node order (matching the former per-label append
-// order). propCount is used as the counting/cursor array and left zeroed.
+// within a group in activeBlue order. propCount is used as the
+// counting/cursor array and left zeroed.
 //
 //sdlint:hotpath
 func (st *state) groupProposals() {
@@ -355,27 +353,27 @@ func (st *state) resolveProposals(phase int, m *rounds.Meter) {
 	}
 }
 
+// accept moves every proposer of group l into cluster x and logs its
+// attachment to x's tree under its proposal edge. A node never rejoins a
+// tree it left (processed label bits never regress), so each entry is a
+// new tree node.
 func (st *state) accept(x *clusterInfo, l int, ps []proposal) {
 	for _, p := range ps {
 		v := p.node
-		if !st.alive[v] || st.label[v] == l {
-			continue // resolved earlier in this step by a smaller-label cluster
+		// The via node is a live member of x, hence already in x's tree
+		// at depth[via]. Cannot fail by the membership invariant; fail
+		// loudly in tests rather than corrupting the tree.
+		if st.label[p.via] != l {
+			panic(fmt.Sprintf("rg: tree invariant broken: via %d of %d is not in cluster %d", p.via, v, l))
 		}
-		st.ensureTree(x, l)
 		st.clusters[st.label[v]].size--
 		st.label[v] = l
 		x.size++
-		// The via node is a live member of x, hence already in x's tree.
-		if err := x.tree.Add(v, p.via); err != nil {
-			// Cannot happen by the membership invariant; fail loudly in
-			// tests rather than corrupting the tree.
-			panic(fmt.Sprintf("rg: tree invariant broken: %v", err))
-		}
-		if d, ok := x.depth[v]; !ok || d > x.depth[p.via]+1 {
-			x.depth[v] = x.depth[p.via] + 1
-		}
-		if x.depth[v] > x.maxDepth {
-			x.maxDepth = x.depth[v]
+		d := st.depth[p.via] + 1
+		st.depth[v] = d
+		st.log.add(treeEntry{label: l, node: v, parent: p.via, depth: d})
+		if d > x.maxDepth {
+			x.maxDepth = d
 		}
 		// Blue neighbors of the newly red node become candidates.
 		for _, w := range st.g.Neighbors(v) {
@@ -394,9 +392,9 @@ func (st *state) kill(v int) {
 
 // carving materializes the final clusters in deterministic label order.
 // Labels are node ids, so ascending slice order IS sorted label order; the
-// label-to-dense-id table is one flat slice, not a map. Clusters that never
-// grew past their initial singleton get their trivial tree materialized
-// here — the only point where anyone can observe it.
+// label-to-dense-id table is one flat slice, not a map (-1 for labels that
+// lost every member). The trees, singletons included, are cut out of the
+// tree log here — the only point where anyone can observe them.
 func (st *state) carving() *cluster.Carving {
 	assign := make([]int, st.g.N())
 	for v := range assign {
@@ -405,25 +403,22 @@ func (st *state) carving() *cluster.Carving {
 	k := 0
 	id := make([]int, len(st.clusters))
 	for l := range st.clusters {
+		id[l] = -1
 		if st.inS[l] && st.clusters[l].size > 0 {
 			id[l] = k
 			k++
 		}
 	}
 	centers := make([]int, k)
-	trees := make([]*cluster.Tree, k)
-	for l := range st.clusters {
-		if !st.inS[l] || st.clusters[l].size <= 0 {
-			continue
+	for l, c := range id {
+		if c >= 0 {
+			centers[c] = l
 		}
-		st.ensureTree(&st.clusters[l], l)
-		centers[id[l]] = st.clusters[l].tree.Root
-		trees[id[l]] = st.clusters[l].tree
 	}
 	for v, ok := range st.alive {
 		if ok {
 			assign[v] = id[st.label[v]]
 		}
 	}
-	return &cluster.Carving{Assign: assign, K: k, Centers: centers, Trees: trees}
+	return &cluster.Carving{Assign: assign, K: k, Centers: centers, Trees: st.log.trees(centers, id)}
 }

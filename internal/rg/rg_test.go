@@ -226,3 +226,92 @@ func ExampleCarve() {
 	fmt.Println(c.K > 0, c.DeadFraction(nil) <= 0.5)
 	// Output: true true
 }
+
+// connectedRegularish returns the first connected RandomRegularish(n, d)
+// drawn from seed, seed+1, ....
+func connectedRegularish(n, d int, seed int64) *graph.Graph {
+	for s := seed; ; s++ {
+		if g := graph.RandomRegularish(n, d, s); graph.IsConnected(g, nil) {
+			return g
+		}
+	}
+}
+
+// TestCarveFlatTreeInvariants checks the flat Steiner tree layout on rg's
+// own output — root first, every parent before its children, every depth
+// its parent's plus one — and that the depths are the ones the Meter was
+// charged with: each tree's Depth() is its cluster's tracked maxDepth, and
+// the last phase's rg/congestion charge is computed from the deepest of
+// them.
+func TestCarveFlatTreeInvariants(t *testing.T) {
+	inputs := map[string]*graph.Graph{
+		"grid":     graph.Grid(30, 30),
+		"expander": connectedRegularish(2000, 6, 1),
+		"tree":     graph.BinaryTree(511),
+	}
+	for name, g := range inputs {
+		st := newState(g, allNodes(g.N()), 0.5)
+		charged := int64(0)
+		for phase := 0; phase < st.b; phase++ {
+			m := rounds.NewMeter()
+			st.runPhase(phase, m)
+			charged = m.Component("rg/congestion")/int64(phase+1) - 1
+		}
+		c := st.carving()
+		maxTree := 0
+		for cl, tr := range c.Trees {
+			if err := tr.Validate(g); err != nil {
+				t.Fatalf("%s: cluster %d: %v", name, cl, err)
+			}
+			if tr.Nodes[0] != tr.Root || tr.Parents[0] != -1 || tr.Depths[0] != 0 {
+				t.Fatalf("%s: cluster %d: root %d is not first", name, cl, tr.Root)
+			}
+			pos := map[int]int{tr.Root: 0}
+			for i := 1; i < len(tr.Nodes); i++ {
+				j, ok := pos[tr.Parents[i]]
+				if !ok {
+					t.Fatalf("%s: cluster %d: node %d before its parent %d", name, cl, tr.Nodes[i], tr.Parents[i])
+				}
+				if tr.Depths[i] != tr.Depths[j]+1 {
+					t.Fatalf("%s: cluster %d: node %d depth %d under parent depth %d", name, cl, tr.Nodes[i], tr.Depths[i], tr.Depths[j])
+				}
+				pos[tr.Nodes[i]] = i
+			}
+			if d, want := tr.Depth(), st.clusters[tr.Root].maxDepth; d != want {
+				t.Fatalf("%s: cluster %d: Tree.Depth() %d, charged maxDepth %d", name, cl, d, want)
+			}
+			maxTree = max(maxTree, tr.Depth())
+		}
+		deepest := 0
+		for _, l := range st.nodes {
+			deepest = max(deepest, st.clusters[l].maxDepth)
+		}
+		if charged != int64(deepest) || int64(maxTree) > charged {
+			t.Fatalf("%s: last phase charged depth %d, deepest cluster %d, deepest output tree %d", name, charged, deepest, maxTree)
+		}
+		if maxTree == 0 {
+			t.Fatalf("%s: no cluster grew; the input does not exercise tree growth", name)
+		}
+	}
+}
+
+// BenchmarkCarveRG measures the weak carver alone on one high-diameter
+// and one expander input.
+func BenchmarkCarveRG(b *testing.B) {
+	inputs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"grid60x60", graph.Grid(60, 60)},
+		{"regularish5000", connectedRegularish(5000, 6, 1)},
+	}
+	for _, in := range inputs {
+		b.Run(in.name, func(b *testing.B) {
+			for b.Loop() {
+				if _, err := Carve(in.g, nil, 0.5, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

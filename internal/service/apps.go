@@ -249,7 +249,7 @@ func (s *Service) RunApp(ctx context.Context, app string, req *Request) (*AppRes
 
 	if req.Timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, req.Timeout)
+		ctx, cancel = s.requestTimeout(ctx, req.Timeout)
 		defer cancel()
 	}
 	res, err, shared := s.appFlight.do(ctx, key, func(runCtx context.Context) (*AppResult, error) {

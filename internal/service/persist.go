@@ -188,7 +188,9 @@ type persistedResult struct {
 	ElapsedNS int64 `json:"elapsed_ns"`
 }
 
-// persistedTree is the on-disk form of a cluster Steiner tree.
+// persistedTree is the on-disk form of a cluster Steiner tree: the root and
+// a child-to-parent map (the root maps to -1). The flat in-memory layout is
+// encoded to this map so records from older builds still decode.
 type persistedTree struct {
 	Root   int         `json:"root"`
 	Parent map[int]int `json:"parent"`
@@ -242,7 +244,11 @@ func buildRecord(key cacheKey, res *Result) (persistedResult, bool) {
 				rec.Trees = append(rec.Trees, persistedTree{Root: -1})
 				continue
 			}
-			rec.Trees = append(rec.Trees, persistedTree{Root: t.Root, Parent: t.Parent})
+			parent := make(map[int]int, len(t.Nodes))
+			for i, v := range t.Nodes {
+				parent[v] = t.Parents[i]
+			}
+			rec.Trees = append(rec.Trees, persistedTree{Root: t.Root, Parent: parent})
 		}
 	case res.Decomposition != nil:
 		d := res.Decomposition
@@ -363,7 +369,13 @@ func decodeResult(data []byte, key cacheKey, n int) (*Result, bool) {
 				c.Trees = append(c.Trees, nil)
 				continue
 			}
-			c.Trees = append(c.Trees, &cluster.Tree{Root: t.Root, Parent: t.Parent})
+			// A parent map with a cycle, or a node that never reaches the
+			// root, is corrupt: it has no root-outward order.
+			tree, err := cluster.TreeFromParents(t.Root, t.Parent)
+			if err != nil {
+				return nil, false
+			}
+			c.Trees = append(c.Trees, tree)
 		}
 		out.Carving = c
 	case "decompose":

@@ -362,12 +362,61 @@ func TestDecodeResultRejectsBadMetadata(t *testing.T) {
 		"tree-parent-value-oob": func(r *persistedResult) {
 			r.Trees = []persistedTree{{Root: 1, Parent: map[int]int{1: -1, 2: n}}}
 		},
+		"tree-cycle": func(r *persistedResult) {
+			r.Trees = []persistedTree{{Root: 1, Parent: map[int]int{1: -1, 2: 3, 3: 2}}}
+		},
+		"tree-unreachable": func(r *persistedResult) {
+			r.Trees = []persistedTree{{Root: 1, Parent: map[int]int{1: -1, 2: 3}}}
+		},
 	}
 	for name, mutate := range mutations {
 		rec := base()
 		mutate(&rec)
 		if _, ok := decodeJSON(t, rec, key, n); ok {
 			t.Errorf("%s: corrupt record accepted", name)
+		}
+	}
+}
+
+// TestResultRecordTreeRoundTrip: a flat Steiner tree encodes to the
+// on-disk child-to-parent map and decodes back, root-outward, to the same
+// tree — same nodes, parents and depths — whatever order its producer
+// appended the nodes in.
+func TestResultRecordTreeRoundTrip(t *testing.T) {
+	g := graph.Grid(3, 3)
+	tr := cluster.NewTree(4)
+	for _, e := range [][3]int{{5, 4, 1}, {1, 4, 1}, {8, 5, 2}, {0, 1, 2}, {3, 4, 1}} {
+		tr.Append(e[0], e[1], e[2])
+	}
+	assign := []int{0, 0, cluster.Unclustered, 0, 0, 0, cluster.Unclustered, cluster.Unclustered, 0}
+	res := &Result{GraphHash: "h", Kind: "carve", Carving: &cluster.Carving{
+		Assign: assign, K: 1, Centers: []int{4}, Trees: []*cluster.Tree{tr},
+	}}
+	data, err := EncodeResultRecord("h", "p", res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"parent":{`) {
+		t.Fatalf("tree not encoded as a parent map: %s", data)
+	}
+	got, ok := DecodeResultRecord(data, "h", "p", g.N())
+	if !ok {
+		t.Fatal("valid record rejected")
+	}
+	back := got.Carving.Trees[0]
+	if err := back.Validate(g); err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[int][2]int, len(tr.Nodes))
+	for i, v := range tr.Nodes {
+		want[v] = [2]int{tr.Parents[i], tr.Depths[i]}
+	}
+	if len(back.Nodes) != len(want) {
+		t.Fatalf("decoded %d tree nodes, want %d", len(back.Nodes), len(want))
+	}
+	for i, v := range back.Nodes {
+		if w, ok := want[v]; !ok || w != [2]int{back.Parents[i], back.Depths[i]} {
+			t.Fatalf("node %d: decoded parent/depth %d/%d, want %v", v, back.Parents[i], back.Depths[i], w)
 		}
 	}
 }

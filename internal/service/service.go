@@ -154,6 +154,10 @@ type Service struct {
 	stats     *statsTable
 	jobs      *jobManager
 	start     time.Time
+	// requestTimeout derives a caller's wait context from Request.Timeout;
+	// it is context.WithTimeout except in tests that must decide when a
+	// request deadline expires relative to other events.
+	requestTimeout func(context.Context, time.Duration) (context.Context, context.CancelFunc)
 }
 
 // New builds a Service from cfg. It fails only when Config.DataDir is set
@@ -195,6 +199,8 @@ func New(cfg Config) (*Service, error) {
 		appFlight: newFlightGroup[*AppResult](),
 		stats:     newStatsTable(),
 		start:     time.Now(),
+
+		requestTimeout: context.WithTimeout,
 	}
 	if cfg.DataDir != "" {
 		p, err := newPersistStore(cfg.DataDir)
@@ -491,7 +497,7 @@ func (s *Service) do(ctx context.Context, kind registry.Kind, req *Request) (*Re
 	// sharing the flight is never killed by someone else's deadline.
 	if req.Timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, req.Timeout)
+		ctx, cancel = s.requestTimeout(ctx, req.Timeout)
 		defer cancel()
 	}
 	res, err, shared := s.flight.do(ctx, key, func(runCtx context.Context) (*Result, error) {

@@ -540,11 +540,30 @@ func TestServiceDefaultAlgorithm(t *testing.T) {
 
 // TestServiceRequestTimeoutBoundsOnlyCaller: a request's own Timeout
 // bounds that caller's wait, not the shared flight — a concurrent
-// identical request without a timeout still receives the result.
+// identical request without a timeout still receives the result. The
+// leader's request deadline expires only once the follower has joined
+// the flight: with a real 5ms timer the deadline could fire first (under
+// -race it did), the abandoned flight would be torn down, and the
+// scenario under test would never happen.
 func TestServiceRequestTimeoutBoundsOnlyCaller(t *testing.T) {
 	gate := make(chan struct{})
 	algo, count := registerStub(t, gate)
 	s, _ := New(Config{})
+	expire := make(chan struct{})
+	s.requestTimeout = func(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
+		if d != 5*time.Millisecond {
+			t.Errorf("request timeout %v, want the leader's 5ms", d)
+		}
+		ctx, cancel := context.WithCancel(ctx)
+		go func() {
+			select {
+			case <-expire:
+				cancel()
+			case <-ctx.Done():
+			}
+		}()
+		return ctx, cancel
+	}
 	g := graph.Grid(4, 4)
 	req := func(d time.Duration) *Request { return &Request{Graph: g, Algo: algo, Seed: 2, Timeout: d} }
 
@@ -577,7 +596,8 @@ func TestServiceRequestTimeoutBoundsOnlyCaller(t *testing.T) {
 		return c != nil && c.parties.Load() == 2
 	})
 
-	leaderWG.Wait() // the 5ms deadline fires while the gate is closed
+	close(expire) // the leader's deadline fires while the gate is closed
+	leaderWG.Wait()
 	if !errors.Is(leaderErr, registry.ErrCanceled) {
 		t.Fatalf("impatient caller err = %v, want ErrCanceled", leaderErr)
 	}
