@@ -11,7 +11,7 @@ import (
 	"strongdecomp/internal/graph"
 )
 
-var updateFixtures = flag.Bool("update-fixtures", false, "rewrite testdata/engine_fixtures.json from the current code")
+var updateFixtures = flag.Bool("update-fixtures", false, "rewrite the testdata/ goldens from the current code")
 
 // engineFixture pins the full output of one construction on the fixture
 // graph: any representation change in the graph substrate must reproduce

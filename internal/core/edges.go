@@ -94,6 +94,7 @@ func StrongCarveEdgesContext(ctx context.Context, g *graph.Graph, nodes []int, e
 		queue = append(queue, task{comp: comp, iter: 1})
 	}
 	dist := make([]int, g.N())
+	toNew := make([]int, g.N())
 
 	for len(queue) > 0 {
 		if err := registry.CtxErr(ctx); err != nil {
@@ -118,7 +119,7 @@ func StrongCarveEdgesContext(ctx context.Context, g *graph.Graph, nodes []int, e
 
 		// The weak edge carver runs on the remaining subgraph: materialize
 		// it so prior cuts are invisible to the black box.
-		sub, orig := inducedMinusCut(g, s, isCut)
+		sub, orig := inducedMinusCut(g, s, sMask, toNew, isCut)
 		wc, err := weak(sub, nil, epsWeak, m)
 		if err != nil {
 			return nil, fmt.Errorf("core: weak edge carver: %w", err)
@@ -139,7 +140,7 @@ func StrongCarveEdgesContext(ctx context.Context, g *graph.Graph, nodes []int, e
 		threshold := float64(totalEdges) / math.Exp2(float64(t.iter))
 		giant := -1
 		for cl, ms := range members {
-			if float64(internalEdges(sub, ms)) > threshold {
+			if float64(internalEdges(sub, ms, wc.Carving.Assign, cl)) > threshold {
 				giant = cl
 				break
 			}
@@ -249,16 +250,13 @@ func inducedEdgeCount(g *graph.Graph, mask []bool, isCut func(u, v int) bool) in
 	return count
 }
 
-// internalEdges counts edges of g with both endpoints in members.
-func internalEdges(g *graph.Graph, members []int) int {
-	in := make(map[int]bool, len(members))
-	for _, v := range members {
-		in[v] = true
-	}
+// internalEdges counts edges of g with both endpoints in members, the nodes
+// v with assign[v] == cl.
+func internalEdges(g *graph.Graph, members, assign []int, cl int) int {
 	count := 0
 	for _, v := range members {
 		for _, u := range g.Neighbors(v) {
-			if v < u && in[u] {
+			if v < u && assign[u] == cl {
 				count++
 			}
 		}
@@ -269,20 +267,20 @@ func internalEdges(g *graph.Graph, members []int) int {
 // componentsEdges returns the connected components of the remaining graph
 // (mask minus cut edges) restricted to nodes.
 func componentsEdges(g *graph.Graph, nodes []int, isCut func(u, v int) bool) [][]int {
-	mask := maskOf(g.N(), nodes)
-	seen := make(map[int]bool, len(nodes))
+	// unseen marks the nodes not yet put in a component.
+	unseen := maskOf(g.N(), nodes)
 	var comps [][]int
 	for _, s := range nodes {
-		if seen[s] {
+		if !unseen[s] {
 			continue
 		}
 		queue := []int{s}
-		seen[s] = true
+		unseen[s] = false
 		for head := 0; head < len(queue); head++ {
 			u := queue[head]
 			for _, v := range g.Neighbors(u) {
-				if mask[v] && !seen[v] && !isCut(u, v) {
-					seen[v] = true
+				if unseen[v] && !isCut(u, v) {
+					unseen[v] = false
 					queue = append(queue, v)
 				}
 			}
@@ -340,10 +338,10 @@ func cumulativeEdges(g *graph.Graph, mask []bool, isCut func(u, v int) bool, ord
 	return counts
 }
 
-// inducedMinusCut materializes the remaining subgraph on nodes, returning it
-// with the new-to-original id mapping.
-func inducedMinusCut(g *graph.Graph, nodes []int, isCut func(u, v int) bool) (*graph.Graph, []int) {
-	toNew := make(map[int]int, len(nodes))
+// inducedMinusCut materializes the remaining subgraph on nodes (marked in
+// mask), returning it with the new-to-original id mapping. toNew is a
+// node-indexed scratch slice; only its entries for nodes are written and read.
+func inducedMinusCut(g *graph.Graph, nodes []int, mask []bool, toNew []int, isCut func(u, v int) bool) (*graph.Graph, []int) {
 	orig := make([]int, len(nodes))
 	for i, v := range nodes {
 		toNew[v] = i
@@ -352,8 +350,8 @@ func inducedMinusCut(g *graph.Graph, nodes []int, isCut func(u, v int) bool) (*g
 	b := graph.NewBuilder(len(nodes))
 	for i, v := range nodes {
 		for _, w := range g.Neighbors(v) {
-			if j, ok := toNew[w]; ok && i < j && !isCut(v, w) {
-				b.AddEdge(i, j)
+			if mask[w] && i < toNew[w] && !isCut(v, w) {
+				b.AddEdge(i, toNew[w])
 			}
 		}
 	}
